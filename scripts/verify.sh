@@ -41,7 +41,7 @@ cargo test -q --offline
 echo "== full workspace test suite =="
 cargo test -q --offline --workspace
 
-echo "== benches compile (all 14 targets) =="
+echo "== benches compile (all 5 targets) =="
 cargo bench --no-run --offline --workspace
 
 echo "== bench smoke: bench_sim (incl. fastforward + encode_stream/decode_stream) + ML kernels + flat predict + history compare =="
