@@ -41,61 +41,12 @@ pub fn trace_coverage(trace: &FleetTrace) -> TraceCoverage {
 }
 
 /// Table 1: proportion of drive days that exhibit each error type,
-/// per drive model.
-#[derive(Debug, Clone)]
+/// per drive model. Tallied by [`streaming::summarize`](crate::streaming::summarize).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorIncidence {
     /// `rates[kind][model]` = fraction of recorded drive days with at
     /// least one error of that kind.
     pub rates: Vec<[f64; 3]>,
-}
-
-/// Computes Table 1.
-pub fn error_incidence(trace: &FleetTrace) -> ErrorIncidence {
-    // Parallel fold over drives: per-model day counts and per-kind
-    // error-day counts.
-    #[derive(Default, Clone)]
-    struct Acc {
-        days: [u64; 3],
-        error_days: [[u64; 3]; ErrorKind::COUNT],
-    }
-    let acc = trace
-        .drives
-        .par_iter()
-        .fold(Acc::default, |mut acc, d| {
-            let m = d.model.index();
-            acc.days[m] += d.reports.len() as u64;
-            for r in &d.reports {
-                for (k, c) in r.errors.iter() {
-                    if c > 0 {
-                        acc.error_days[k.index()][m] += 1;
-                    }
-                }
-            }
-            acc
-        })
-        .reduce(Acc::default, |mut a, b| {
-            for m in 0..3 {
-                a.days[m] += b.days[m];
-            }
-            for k in 0..ErrorKind::COUNT {
-                for m in 0..3 {
-                    a.error_days[k][m] += b.error_days[k][m];
-                }
-            }
-            a
-        });
-    let rates = (0..ErrorKind::COUNT)
-        .map(|k| {
-            let mut row = [0.0; 3];
-            for m in 0..3 {
-                if acc.days[m] > 0 {
-                    row[m] = acc.error_days[k][m] as f64 / acc.days[m] as f64;
-                }
-            }
-            row
-        })
-        .collect();
-    ErrorIncidence { rates }
 }
 
 impl ErrorIncidence {
@@ -282,8 +233,7 @@ mod tests {
 
     #[test]
     fn incidence_orders_match_calibration() {
-        let t = small_trace();
-        let inc = error_incidence(&t);
+        let inc = crate::streaming::summarize(&small_trace()).error_incidence;
         // Correctable errors on ~80% of days; uncorrectable on ~0.2%.
         for m in DriveModel::ALL {
             let corr = inc.rate(ErrorKind::Correctable, m);

@@ -5,8 +5,10 @@
 //! that day the drive may keep reporting without serving reads/writes
 //! (soft removal), stop reporting entirely, or both — and is then
 //! physically swapped. This module recovers failure points, operational
-//! periods, and the young/old split from a [`DriveLog`].
+//! periods (as survival durations), and the young/old split from a
+//! [`DriveLog`].
 
+use ssd_stats::Duration;
 use ssd_types::{DriveLog, SwapEvent, INFANCY_DAYS};
 
 /// A failure event recovered from the log.
@@ -92,20 +94,17 @@ pub fn failure_records(log: &DriveLog) -> Vec<FailureRecord> {
 /// One operational period: from deployment (or repair re-entry) to either
 /// a failure or the (censored) end of observation — the unit of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperationalPeriod {
+struct OperationalPeriod {
     /// Drive age at the period's start.
-    pub start_day: u32,
+    start_day: u32,
     /// Days of operation until failure, or `None` if never observed to end
     /// (the "∞" mass in Figure 3).
-    pub length_to_failure: Option<u32>,
+    length_to_failure: Option<u32>,
 }
 
-/// Extracts every operational period of a drive.
-///
-/// `horizon_days` bounds the observation; `deploy_offset` is the trace day
-/// the drive entered service (ages are drive-relative, so only the
-/// drive-age horizon matters: reports simply stop at the drive's horizon).
-pub fn operational_periods(log: &DriveLog) -> Vec<OperationalPeriod> {
+/// Extracts every operational period of a drive. Ages are drive-relative,
+/// so the observation horizon only shows as reports stopping.
+fn operational_periods(log: &DriveLog) -> Vec<OperationalPeriod> {
     let failures = failure_records(log);
     let mut periods = Vec::with_capacity(failures.len() + 1);
     let mut start = 0u32;
@@ -125,6 +124,27 @@ pub fn operational_periods(log: &DriveLog) -> Vec<OperationalPeriod> {
         length_to_failure: None,
     });
     periods
+}
+
+/// Every operational period of a drive as a survival [`Duration`]: an
+/// event at the period's length to failure, or a censored observation at
+/// the span from the period's start to the drive's last report. The
+/// Figure 3 ECDF, the Kaplan–Meier time-to-failure fit and the fleet
+/// service's survival answer all read periods through this one function.
+pub fn period_durations(log: &DriveLog) -> impl Iterator<Item = Duration> {
+    let last_age = log.max_age_days();
+    operational_periods(log)
+        .into_iter()
+        .map(move |p| match p.length_to_failure {
+            Some(l) => Duration {
+                time: f64::from(l),
+                event: true,
+            },
+            None => Duration {
+                time: f64::from(last_age.saturating_sub(p.start_day)),
+                event: false,
+            },
+        })
 }
 
 #[cfg(test)]
@@ -249,6 +269,10 @@ mod tests {
         assert_eq!(p[1].length_to_failure, Some(10));
         assert_eq!(p[2].start_day, 100);
         assert_eq!(p[2].length_to_failure, None); // censored tail
+
+        // The censored tail spans from re-entry to the last report.
+        let d: Vec<(f64, bool)> = period_durations(&log).map(|d| (d.time, d.event)).collect();
+        assert_eq!(d, vec![(10.0, true), (10.0, true), (100.0, false)]);
     }
 
     #[test]

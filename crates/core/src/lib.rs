@@ -8,13 +8,13 @@
 //! | Paper artifact | Module |
 //! |---|---|
 //! | Figure 1 | [`characterize::trace_coverage`] |
-//! | Table 1 | [`characterize::error_incidence`] |
+//! | Table 1 | [`streaming::summarize`] (`error_incidence`) |
 //! | Table 2 | [`characterize::correlation_matrix`] |
-//! | Table 3 | [`lifecycle::failure_incidence`] |
-//! | Table 4 | [`lifecycle::failure_count_distribution`] |
+//! | Table 3 | [`streaming::summarize`] (`failure_incidence`) |
+//! | Table 4 | [`streaming::summarize`] (`failure_counts`) |
 //! | Figure 3 | [`lifecycle::time_to_failure_ecdf`] |
-//! | Figure 4 | [`lifecycle::non_operational_ecdf`] |
-//! | Figure 5 | [`lifecycle::time_to_repair_ecdf`] |
+//! | Figure 4 | [`streaming::summarize`] (`non_operational`) |
+//! | Figure 5 | [`streaming::summarize`] (`time_to_repair`) |
 //! | Table 5 | [`lifecycle::repair_reentry`] |
 //! | Figure 6 | [`aging::failure_age`] |
 //! | Figure 7 | [`aging::write_intensity`] |
@@ -53,7 +53,7 @@ pub mod serve;
 pub mod streaming;
 
 pub use drift::{drift_report, DriftCheck, DriftReport};
-pub use failure::{failure_records, operational_periods, FailureRecord, OperationalPeriod};
+pub use failure::{failure_records, FailureRecord};
 pub use features::{
     build_dataset, build_dataset_streaming, feature_names, AgeFilter, ExtractOptions, LabelKind,
     RollingFeatures,

@@ -1,12 +1,17 @@
 //! The swap/repair lifecycle: Tables 3–5 and Figures 3–5 (Section 3).
+//!
+//! Tables 3–4 and Figures 4–5 are tallied by the one per-drive fold in
+//! [`streaming`](crate::streaming); this module holds their result types,
+//! Figure 3 and Table 5.
 
-use crate::failure::{failure_records, operational_periods};
+use crate::failure::period_durations;
 use crate::report::{pct, Series, TextTable};
-use ssd_stats::{Duration, Ecdf, KaplanMeier};
+use crate::streaming::summarize;
+use ssd_stats::{Ecdf, KaplanMeier};
 use ssd_types::{DriveModel, FleetTrace};
 
 /// Table 3: failure incidence per model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureIncidence {
     /// Per model: (number of failures, number of drives, fraction of
     /// drives failing at least once).
@@ -15,48 +20,6 @@ pub struct FailureIncidence {
     pub total_failures: usize,
     /// Fleet-wide fraction of drives that fail at least once.
     pub total_failed_fraction: f64,
-}
-
-/// Computes Table 3.
-pub fn failure_incidence(trace: &FleetTrace) -> FailureIncidence {
-    let mut per_model = Vec::new();
-    let mut total_failures = 0;
-    let mut total_failed = 0;
-    let mut total_drives = 0;
-    for m in DriveModel::ALL {
-        let mut failures = 0;
-        let mut failed_drives = 0;
-        let mut drives = 0;
-        for d in trace.drives_of(m) {
-            drives += 1;
-            failures += d.swaps.len();
-            if d.ever_failed() {
-                failed_drives += 1;
-            }
-        }
-        per_model.push((
-            m.name().to_string(),
-            failures,
-            drives,
-            if drives == 0 {
-                0.0
-            } else {
-                failed_drives as f64 / drives as f64
-            },
-        ));
-        total_failures += failures;
-        total_failed += failed_drives;
-        total_drives += drives;
-    }
-    FailureIncidence {
-        per_model,
-        total_failures,
-        total_failed_fraction: if total_drives == 0 {
-            0.0
-        } else {
-            total_failed as f64 / total_drives as f64
-        },
-    }
 }
 
 impl FailureIncidence {
@@ -79,24 +42,11 @@ impl FailureIncidence {
 }
 
 /// Table 4: distribution of lifetime failure counts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureCountDistribution {
     /// `count_of[k]` = number of drives with exactly k failures
     /// (index 0 = never failed), up to the maximum observed.
     pub count_of: Vec<usize>,
-}
-
-/// Computes Table 4.
-pub fn failure_count_distribution(trace: &FleetTrace) -> FailureCountDistribution {
-    let mut count_of = vec![0usize; 1];
-    for d in &trace.drives {
-        let k = d.swaps.len();
-        if count_of.len() <= k {
-            count_of.resize(k + 1, 0);
-        }
-        count_of[k] += 1;
-    }
-    FailureCountDistribution { count_of }
 }
 
 impl FailureCountDistribution {
@@ -148,42 +98,14 @@ impl FailureCountDistribution {
 pub fn time_to_failure_ecdf(trace: &FleetTrace) -> Ecdf {
     let mut lengths = Vec::new();
     let mut censored = 0u64;
-    for d in &trace.drives {
-        for p in operational_periods(d) {
-            match p.length_to_failure {
-                Some(l) => lengths.push(f64::from(l)),
-                None => censored += 1,
-            }
+    for p in trace.drives.iter().flat_map(period_durations) {
+        if p.event {
+            lengths.push(p.time);
+        } else {
+            censored += 1;
         }
     }
     Ecdf::with_censored(&lengths, censored)
-}
-
-/// Figure 4: CDF of the pre-swap non-operational period (days between the
-/// failure and the physical swap).
-pub fn non_operational_ecdf(trace: &FleetTrace) -> Ecdf {
-    let mut days = Vec::new();
-    for d in &trace.drives {
-        for f in failure_records(d) {
-            days.push(f64::from(f.non_operational_days()));
-        }
-    }
-    Ecdf::new(&days)
-}
-
-/// Figure 5: CDF of time to repair, with never-returning drives at ∞.
-pub fn time_to_repair_ecdf(trace: &FleetTrace) -> Ecdf {
-    let mut days = Vec::new();
-    let mut censored = 0u64;
-    for d in &trace.drives {
-        for s in &d.swaps {
-            match s.repair_days() {
-                Some(r) => days.push(f64::from(r)),
-                None => censored += 1,
-            }
-        }
-    }
-    Ecdf::with_censored(&days, censored)
 }
 
 /// Kaplan–Meier estimate of the time-to-failure distribution — the
@@ -192,25 +114,7 @@ pub fn time_to_repair_ecdf(trace: &FleetTrace) -> Ecdf {
 /// periods are censored, the KM failure CDF sits *above* the raw ECDF at
 /// every horizon (censored periods stop diluting the denominator).
 pub fn time_to_failure_km(trace: &FleetTrace) -> KaplanMeier {
-    let mut durations = Vec::new();
-    for d in &trace.drives {
-        for p in operational_periods(d) {
-            match p.length_to_failure {
-                Some(l) => durations.push(Duration {
-                    time: f64::from(l),
-                    event: true,
-                }),
-                None => {
-                    // Censoring time: observed span of the trailing period.
-                    let span = d.max_age_days().saturating_sub(p.start_day);
-                    durations.push(Duration {
-                        time: f64::from(span),
-                        event: false,
-                    });
-                }
-            }
-        }
-    }
+    let durations: Vec<_> = trace.drives.iter().flat_map(period_durations).collect();
     KaplanMeier::fit(&durations)
 }
 
@@ -309,8 +213,8 @@ impl RepairReentry {
 /// Figure 3/4/5 as printable series (CDF steps thinned for display).
 pub fn lifecycle_series(trace: &FleetTrace) -> Vec<Series> {
     let ttf = time_to_failure_ecdf(trace);
-    let nop = non_operational_ecdf(trace);
-    let ttr = time_to_repair_ecdf(trace);
+    let summary = summarize(trace);
+    let (nop, ttr) = (summary.non_operational, summary.time_to_repair);
     vec![
         Series::new(
             format!(
@@ -347,8 +251,7 @@ mod tests {
 
     #[test]
     fn incidence_bands_match_table3() {
-        let t = trace();
-        let inc = failure_incidence(&t);
+        let inc = summarize(&trace()).failure_incidence;
         // MLC-A lowest, MLC-B highest (Table 3 ordering).
         let fracs: Vec<f64> = inc.per_model.iter().map(|r| r.3).collect();
         assert!(fracs[0] < fracs[1], "MLC-A {} < MLC-B {}", fracs[0], fracs[1]);
@@ -360,8 +263,7 @@ mod tests {
 
     #[test]
     fn count_distribution_is_dominated_by_single_failures() {
-        let t = trace();
-        let dist = failure_count_distribution(&t);
+        let dist = summarize(&trace()).failure_counts;
         // Table 4: ~89% of drives never fail; among failed drives ~90%
         // fail exactly once.
         assert!(dist.frac_of_all(0) > 0.8);
@@ -385,8 +287,7 @@ mod tests {
 
     #[test]
     fn non_operational_period_shape_matches_fig4() {
-        let t = trace();
-        let e = non_operational_ecdf(&t);
+        let e = summarize(&trace()).non_operational;
         // ~20% within 1 day, ~80% within 7 days, long tail past 100 days.
         let p1 = e.eval(1.0);
         let p7 = e.eval(7.0);
@@ -399,7 +300,7 @@ mod tests {
     #[test]
     fn repair_is_slow_and_half_never_return() {
         let t = trace();
-        let e = time_to_repair_ecdf(&t);
+        let e = summarize(&t).time_to_repair;
         // Figure 5: about half never observed to re-enter (a bit more at
         // our scale because late swaps censor re-entry).
         assert!(

@@ -30,7 +30,7 @@
 //! [`Duration`]: ssd_stats::Duration
 
 use super::protocol::Request;
-use crate::failure::{failure_records, operational_periods};
+use crate::failure::{failure_records, period_durations};
 use crate::predict::online::OnlineFleet;
 use crate::streaming::SummaryAccumulator;
 use ssd_ml::BatchScorer;
@@ -101,21 +101,9 @@ impl ShardState {
                     acc.observe(d);
                 }
                 if plan.survival {
-                    // Mirrors `lifecycle::time_to_failure_km` exactly:
-                    // events at the period length, censored periods at
-                    // their observed trailing span.
-                    for p in operational_periods(d) {
-                        partial.durations.push(match p.length_to_failure {
-                            Some(l) => Duration {
-                                time: f64::from(l),
-                                event: true,
-                            },
-                            None => Duration {
-                                time: f64::from(d.max_age_days().saturating_sub(p.start_day)),
-                                event: false,
-                            },
-                        });
-                    }
+                    // The same durations `lifecycle::time_to_failure_km`
+                    // fits on.
+                    partial.durations.extend(period_durations(d));
                 }
                 if !plan.hazard_bins.is_empty() {
                     let fail_days: Vec<u32> =

@@ -1,16 +1,15 @@
-//! Constant-memory trace summarization: one fold over drives, arriving in
-//! any order, from any source.
+//! Tables 1, 3 and 4 and Figures 4–5 as one fold over drives, arriving
+//! in any order, from any source.
 //!
-//! Every analysis `ssdstat` prints by default — failure incidence
-//! (Table 3), failure-count distribution (Table 4), error incidence
-//! (Table 1), the non-operational-period ECDF (Figure 4), and the
-//! time-to-repair ECDF (Figure 5) — is a per-drive fold: no analysis
-//! needs two drives resident at once. [`SummaryAccumulator`] exploits
-//! that: feed it drives one at a time (e.g. from a streaming
-//! `TraceDecoder` over a multi-GB archive) and [`finish`] produces the
-//! *same* result structs as the resident functions in [`lifecycle`] and
-//! [`characterize`] — pinned by an equivalence test, and independent of
-//! the order drives are observed in (the ECDFs sort internally).
+//! Failure incidence (Table 3), the failure-count distribution (Table 4),
+//! error incidence (Table 1), the non-operational-period ECDF (Figure 4)
+//! and the time-to-repair ECDF (Figure 5) are per-drive tallies: none of
+//! them needs two drives resident at once. [`SummaryAccumulator`] is their
+//! only implementation. `repro` and the observation audit fold a resident
+//! trace through [`summarize`]; `ssdstat` feeds it drive by drive from a
+//! streaming `TraceDecoder` over a multi-GB archive; each `ssdserve` shard
+//! folds its own drives. [`finish`] does not depend on the order drives
+//! are observed in (the ECDFs sort internally).
 //!
 //! Folds are also *additive*: two accumulators built over disjoint drive
 //! sets [`merge`] into the same state one fold over the union would have
@@ -43,18 +42,26 @@
 //!
 //! [`finish`]: SummaryAccumulator::finish
 //! [`merge`]: SummaryAccumulator::merge
-//! [`lifecycle`]: crate::lifecycle
-//! [`characterize`]: crate::characterize
 
 use crate::characterize::ErrorIncidence;
 use crate::failure::failure_records;
 use crate::lifecycle::{FailureCountDistribution, FailureIncidence};
 use ssd_stats::Ecdf;
-use ssd_types::{DriveLog, DriveModel, ErrorKind};
+use ssd_types::{DriveLog, DriveModel, ErrorKind, FleetTrace};
 
-/// Everything `ssdstat`'s default report needs, computed in one streaming
-/// pass. Field types match the resident analysis functions exactly.
-#[derive(Debug, Clone)]
+/// Folds every drive of a resident trace, in trace order, through one
+/// [`SummaryAccumulator`].
+pub fn summarize(trace: &FleetTrace) -> StreamSummary {
+    let mut acc = SummaryAccumulator::new();
+    for d in &trace.drives {
+        acc.observe(d);
+    }
+    acc.finish()
+}
+
+/// Tables 1, 3 and 4 and Figures 4–5, plus the fleet totals `ssdstat`
+/// prints above them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSummary {
     /// Number of drives observed.
     pub n_drives: usize,
@@ -62,15 +69,16 @@ pub struct StreamSummary {
     pub total_drive_days: usize,
     /// Total swap events across all drives.
     pub total_swaps: usize,
-    /// Table 3, identical to `lifecycle::failure_incidence`.
+    /// Table 3: failures and failed fraction per model.
     pub failure_incidence: FailureIncidence,
-    /// Table 4, identical to `lifecycle::failure_count_distribution`.
+    /// Table 4: drives per lifetime failure count.
     pub failure_counts: FailureCountDistribution,
-    /// Table 1, identical to `characterize::error_incidence`.
+    /// Table 1: fraction of drive days with each error kind, per model.
     pub error_incidence: ErrorIncidence,
-    /// Figure 4, identical to `lifecycle::non_operational_ecdf`.
+    /// Figure 4: days from each failure to its swap.
     pub non_operational: Ecdf,
-    /// Figure 5, identical to `lifecycle::time_to_repair_ecdf`.
+    /// Figure 5: days from each swap to re-entry, never-returning swaps
+    /// as censored mass.
     pub time_to_repair: Ecdf,
     /// Importance-weighted population estimates; `Some` only when at least
     /// one observed drive carried a non-zero log-weight (i.e. the archive
@@ -277,8 +285,7 @@ impl SummaryAccumulator {
         self.n_drives
     }
 
-    /// Finalizes the fold into the same result structs the resident
-    /// analysis functions produce.
+    /// Finalizes the fold into the paper's result structs.
     pub fn finish(&self) -> StreamSummary {
         let mut per_model = Vec::new();
         let mut total_failures = 0;
@@ -388,9 +395,7 @@ impl SummaryAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{characterize, lifecycle};
     use ssd_sim::{FleetGen, Sampling, SimConfig};
-    use ssd_types::FleetTrace;
 
     fn trace() -> FleetTrace {
         FleetGen::new(&SimConfig {
@@ -402,39 +407,6 @@ mod tests {
         .trace()
     }
 
-    fn assert_matches_resident(summary: &StreamSummary, t: &FleetTrace) {
-        assert_eq!(summary.n_drives, t.n_drives());
-        assert_eq!(summary.total_drive_days, t.total_drive_days());
-        assert_eq!(summary.total_swaps, t.total_swaps());
-
-        let inc = lifecycle::failure_incidence(t);
-        assert_eq!(summary.failure_incidence.per_model, inc.per_model);
-        assert_eq!(summary.failure_incidence.total_failures, inc.total_failures);
-        assert_eq!(
-            summary.failure_incidence.total_failed_fraction,
-            inc.total_failed_fraction
-        );
-
-        let dist = lifecycle::failure_count_distribution(t);
-        assert_eq!(summary.failure_counts.count_of, dist.count_of);
-
-        let err = characterize::error_incidence(t);
-        assert_eq!(summary.error_incidence.rates, err.rates);
-
-        assert_eq!(summary.non_operational, lifecycle::non_operational_ecdf(t));
-        assert_eq!(summary.time_to_repair, lifecycle::time_to_repair_ecdf(t));
-    }
-
-    #[test]
-    fn streaming_fold_equals_resident_analyses() {
-        let t = trace();
-        let mut acc = SummaryAccumulator::new();
-        for d in &t.drives {
-            acc.observe(d);
-        }
-        assert_matches_resident(&acc.finish(), &t);
-    }
-
     #[test]
     fn fold_order_does_not_matter() {
         let t = trace();
@@ -442,7 +414,7 @@ mod tests {
         for d in t.drives.iter().rev() {
             acc.observe(d);
         }
-        assert_matches_resident(&acc.finish(), &t);
+        assert_eq!(acc.finish(), summarize(&t));
     }
 
     #[test]
@@ -459,7 +431,18 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.n_drives(), t.n_drives());
-        assert_matches_resident(&a.finish(), &t);
+        assert_eq!(a.finish(), summarize(&t));
+    }
+
+    #[test]
+    fn summary_totals_match_the_trace() {
+        let t = trace();
+        let s = summarize(&t);
+        assert_eq!(s.n_drives, t.n_drives());
+        assert_eq!(s.total_drive_days, t.total_drive_days());
+        assert_eq!(s.total_swaps, t.total_swaps());
+        assert_eq!(s.failure_incidence.total_failures, t.total_swaps());
+        assert_eq!(s.failure_counts.count_of.iter().sum::<usize>(), t.n_drives());
     }
 
     #[test]
@@ -474,12 +457,7 @@ mod tests {
 
     #[test]
     fn uniform_fleets_omit_the_weighted_section() {
-        let t = trace();
-        let mut acc = SummaryAccumulator::new();
-        for d in &t.drives {
-            acc.observe(d);
-        }
-        assert!(acc.finish().weighted.is_none());
+        assert!(summarize(&trace()).weighted.is_none());
     }
 
     #[test]
@@ -514,15 +492,8 @@ mod tests {
             .sampling(Sampling::Importance { boost: 4.0 })
             .trace();
 
-        let fold = |t: &FleetTrace| {
-            let mut acc = SummaryAccumulator::new();
-            for d in &t.drives {
-                acc.observe(d);
-            }
-            acc.finish()
-        };
-        let u = fold(&uniform);
-        let b = fold(&boosted);
+        let u = summarize(&uniform);
+        let b = summarize(&boosted);
         let w = b.weighted.expect("importance fleet must carry weights");
 
         // Raw boosted incidence is inflated; the weighted estimate must
@@ -551,10 +522,6 @@ mod tests {
         let t = FleetGen::new(&cfg)
             .sampling(Sampling::Importance { boost: 5.0 })
             .trace();
-        let mut whole = SummaryAccumulator::new();
-        for d in &t.drives {
-            whole.observe(d);
-        }
         let mid = t.drives.len() / 2;
         let mut a = SummaryAccumulator::new();
         let mut b = SummaryAccumulator::new();
@@ -565,7 +532,7 @@ mod tests {
             b.observe(d);
         }
         a.merge(&b);
-        let sw = whole.finish().weighted.unwrap();
+        let sw = summarize(&t).weighted.unwrap();
         let sm = a.finish().weighted.unwrap();
         assert!((sw.effective_drives - sm.effective_drives).abs() < 1e-9);
         assert!((sw.total_failed_fraction - sm.total_failed_fraction).abs() < 1e-12);

@@ -19,6 +19,7 @@ use ssd_field_study_core::predict::{
     age_analysis, error_pred, importance, models, per_model, sweep,
 };
 use ssd_field_study_core::report::render_series;
+use ssd_field_study_core::streaming::summarize;
 use ssd_field_study_core::{aging, characterize, errors_analysis, lifecycle};
 use ssd_field_study_core::{PredictConfig, Series};
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
@@ -104,7 +105,7 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
             save_json(json, id, &r);
         }
         "tab1" => {
-            let r = characterize::error_incidence(trace);
+            let r = summarize(trace).error_incidence;
             println!("{}", r.table());
             save_json(json, id, &r);
         }
@@ -114,12 +115,12 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
             save_json(json, id, &r);
         }
         "tab3" => {
-            let r = lifecycle::failure_incidence(trace);
+            let r = summarize(trace).failure_incidence;
             println!("{}", r.table());
             save_json(json, id, &r);
         }
         "tab4" => {
-            let r = lifecycle::failure_count_distribution(trace);
+            let r = summarize(trace).failure_counts;
             println!("{}", r.table());
             save_json(json, id, &r);
         }

@@ -3,10 +3,17 @@
 //! These are the contract between `ssd-sim` and every analysis built on
 //! top of it; EXPERIMENTS.md records the same comparisons narratively.
 
+use ssd_field_study::core::streaming::{summarize, StreamSummary};
 use ssd_field_study::core::{aging, characterize, errors_analysis, lifecycle};
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::{DriveModel, ErrorKind, FleetTrace};
 use std::sync::OnceLock;
+
+/// Tables 1, 3, 4 and Figures 4–5 of the shared fleet, folded once.
+fn summary() -> &'static StreamSummary {
+    static SUMMARY: OnceLock<StreamSummary> = OnceLock::new();
+    SUMMARY.get_or_init(|| summarize(trace()))
+}
 
 fn trace() -> &'static FleetTrace {
     static TRACE: OnceLock<FleetTrace> = OnceLock::new();
@@ -23,7 +30,7 @@ fn trace() -> &'static FleetTrace {
 
 #[test]
 fn table1_error_day_rates() {
-    let inc = characterize::error_incidence(trace());
+    let inc = &summary().error_incidence;
     // Paper Table 1 anchors (fraction of drive days with the error).
     let cases = [
         (ErrorKind::Correctable, DriveModel::MlcA, 0.828895, 0.05),
@@ -52,7 +59,7 @@ fn table1_error_day_rates() {
 
 #[test]
 fn table3_failure_incidence() {
-    let inc = lifecycle::failure_incidence(trace());
+    let inc = &summary().failure_incidence;
     // Paper: MLC-A 6.95%, MLC-B 14.3%, MLC-D 12.5%. Horizon censoring of
     // late deployments biases down slightly; bands are ±40% relative.
     let expect = [0.0695, 0.143, 0.125];
@@ -67,7 +74,7 @@ fn table3_failure_incidence() {
 
 #[test]
 fn table4_repeat_failures() {
-    let d = lifecycle::failure_count_distribution(trace());
+    let d = &summary().failure_counts;
     // Paper: 88.7% zero, 10.1% one, ~1.04% two, 0.13% three.
     assert!((d.frac_of_all(0) - 0.887).abs() < 0.06, "{}", d.frac_of_all(0));
     assert!(d.frac_of_failed(1) > 0.80, "{}", d.frac_of_failed(1));
@@ -76,7 +83,7 @@ fn table4_repeat_failures() {
 
 #[test]
 fn figure4_non_operational_anchors() {
-    let e = lifecycle::non_operational_ecdf(trace());
+    let e = &summary().non_operational;
     // Paper: ~20% within a day, ~80% within 7 days, ~8% beyond 100 days.
     assert!((e.eval(1.0) - 0.20).abs() < 0.10, "P(<=1d) {}", e.eval(1.0));
     assert!((e.eval(7.0) - 0.80).abs() < 0.08, "P(<=7d) {}", e.eval(7.0));
@@ -86,7 +93,7 @@ fn figure4_non_operational_anchors() {
 
 #[test]
 fn figure5_table5_repair_behaviour() {
-    let e = lifecycle::time_to_repair_ecdf(trace());
+    let e = &summary().time_to_repair;
     // Paper: about half never return (horizon censoring pushes this up).
     assert!(
         (0.40..0.75).contains(&e.censored_fraction()),

@@ -2,7 +2,8 @@
 //! every analysis must produce identical results on a trace that has been
 //! through the CSV boundary.
 
-use ssd_field_study::core::{characterize, lifecycle};
+use ssd_field_study::core::characterize;
+use ssd_field_study::core::streaming::summarize;
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::csv::{read_trace_csv, write_reports_csv, write_swaps_csv};
 use std::io::BufReader;
@@ -53,13 +54,7 @@ fn analyses_are_invariant_across_the_csv_boundary() {
     let back = csv_roundtrip(&t);
     // Structured results must match exactly — same failures recovered,
     // same incidence, same correlations.
-    let inc_a = lifecycle::failure_incidence(&t);
-    let inc_b = lifecycle::failure_incidence(&back);
-    assert_eq!(inc_a.per_model, inc_b.per_model);
-
-    let err_a = characterize::error_incidence(&t);
-    let err_b = characterize::error_incidence(&back);
-    assert_eq!(err_a.rates, err_b.rates);
+    assert_eq!(summarize(&t), summarize(&back));
 
     let cor_a = characterize::correlation_matrix(&t);
     let cor_b = characterize::correlation_matrix(&back);

@@ -10,12 +10,12 @@
 //! proptests; this file owns the estimator-equivalence half plus codec
 //! round-trip fuzz for the weight column.
 
-use ssd_field_study::core::failure::operational_periods;
+use ssd_field_study::core::failure::period_durations;
 use ssd_field_study::core::lifecycle::time_to_failure_km;
 use ssd_field_study::core::streaming::{StreamSummary, SummaryAccumulator};
 use ssd_field_study::ml::{roc_auc, roc_auc_weighted};
 use ssd_field_study::sim::{FleetGen, Sampling, SimConfig};
-use ssd_field_study::stats::{Duration, KaplanMeier};
+use ssd_field_study::stats::KaplanMeier;
 use ssd_field_study::types::codec::{decode_trace, encode_trace};
 use ssd_field_study::types::{DriveLog, FleetTrace};
 use ssd_testkit::for_each_case;
@@ -163,17 +163,8 @@ fn importance_weighted_km_matches_uniform_curve() {
     let mut weights = Vec::new();
     for d in &boosted.drives {
         let w = d.log_weight.exp();
-        for p in operational_periods(d) {
-            durations.push(match p.length_to_failure {
-                Some(l) => Duration {
-                    time: f64::from(l),
-                    event: true,
-                },
-                None => Duration {
-                    time: f64::from(d.max_age_days().saturating_sub(p.start_day)),
-                    event: false,
-                },
-            });
+        for p in period_durations(d) {
+            durations.push(p);
             weights.push(w);
         }
     }

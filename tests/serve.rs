@@ -6,11 +6,13 @@
 //!
 //! 1. **shard invariance** — every query type answers byte-identically
 //!    at 1, 2, and 5 shards (single frames and batch frames alike);
-//! 2. **service = resident** — summary, survival, hazard, and top-K
-//!    responses match the single-pass resident analyses
-//!    (`SummaryAccumulator`, `lifecycle::time_to_failure_km`,
-//!    a hand-built `BinnedRate`, and a whole-fleet `OnlineFleet`
-//!    ranking) exactly, via the same shortest-round-trip JSON writer;
+//! 2. **sharded = whole fleet** — summary, survival, hazard, and top-K
+//!    responses match one unsharded computation over the whole fleet
+//!    (`streaming::summarize`, `lifecycle::time_to_failure_km`, a
+//!    hand-built `BinnedRate`, and a whole-fleet `OnlineFleet` ranking)
+//!    exactly, via the same shortest-round-trip JSON writer. The shards
+//!    run the same fold and the same `failure::period_durations`, so
+//!    this pins the merge; `tests/golden.rs` pins the bytes;
 //! 3. **batching** — a batch frame of N queries costs one shard pass,
 //!    and co-arriving frames from concurrent clients coalesce without
 //!    changing any client's bytes;
@@ -24,7 +26,7 @@ use ssd_field_study_core::serve::protocol::{
 use ssd_field_study_core::serve::{
     serve_connection, Dispatcher, FleetService, Responder, ScorerSpec, ServeConfig,
 };
-use ssd_field_study_core::streaming::SummaryAccumulator;
+use ssd_field_study_core::streaming::summarize;
 use ssd_field_study_core::{failure_records, lifecycle, OnlineFleet};
 use ssd_ml::{FlatForest, ForestConfig, RandomForest};
 use ssd_sim::{FleetGen, SimConfig};
@@ -116,11 +118,7 @@ fn summary_response_matches_resident_analyses() {
     let t = fleet();
     let v = parse(&svc.respond(br#"{"q":"summary"}"#).expect("respond"));
 
-    let mut acc = SummaryAccumulator::new();
-    for d in &t.drives {
-        acc.observe(d);
-    }
-    let s = acc.finish();
+    let s = summarize(&t);
 
     assert_eq!(v.get("drives").and_then(Value::as_u64), Some(s.n_drives as u64));
     assert_eq!(
