@@ -6,6 +6,7 @@ use ssd_bench::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssd_field_study_core::streaming::SummaryAccumulator;
 use ssd_sim::{FleetGen, GenMode, SimConfig};
 use ssd_types::codec::{decode_trace, encode_trace, encode_trace_to, TraceDecoder};
+use ssd_types::{DriveId, DriveLog, DriveModel};
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -96,7 +97,10 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut dec = TraceDecoder::new(encoded.as_slice()).unwrap();
             let mut acc = SummaryAccumulator::new();
-            dec.for_each_drive(|d| acc.observe(d)).unwrap();
+            let mut drive = DriveLog::new(DriveId(0), DriveModel::from_index(0));
+            while dec.next_drive_into(&mut drive).unwrap() {
+                acc.observe(&drive);
+            }
             acc.finish()
         })
     });

@@ -39,12 +39,9 @@
 //! Multi-GB archives never have to be resident:
 //!
 //! * [`TraceDecoder`] pulls drives one at a time from any [`Read`] source
-//!   through a fixed-size refill buffer. [`next_drive_into`] reuses one
-//!   caller-owned [`DriveLog`]'s report/swap buffers between drives,
-//!   [`read_chunk_into`] amortizes that over drive chunks, and
-//!   [`next_drive_columns`] lends a borrowed columnar
-//!   [`ReportColumns`] view decoded into internal buffers that are
-//!   recycled between drives.
+//!   through a fixed-size refill buffer. Its one read entry point,
+//!   [`next_drive_into`], reuses one caller-owned [`DriveLog`]'s
+//!   report/swap buffers between drives.
 //! * [`TraceEncoder`] is generic over a [`Write`] sink: each appended
 //!   drive is serialized into an internal scratch buffer (reused between
 //!   drives) and flushed to the sink, so peak memory is one drive record
@@ -84,8 +81,6 @@
 //! ```
 //!
 //! [`next_drive_into`]: TraceDecoder::next_drive_into
-//! [`read_chunk_into`]: TraceDecoder::read_chunk_into
-//! [`next_drive_columns`]: TraceDecoder::next_drive_columns
 
 use crate::{
     DailyReport, DriveId, DriveLog, DriveModel, ErrorCounts, ErrorKind, FleetTrace, SwapEvent,
@@ -415,12 +410,10 @@ fn decode_report<S: Src>(src: &mut S) -> Result<DailyReport, DecodeError> {
 /// Borrowed struct-of-arrays view over one drive's daily reports.
 ///
 /// Each slice is one column of the report table, all of equal length (one
-/// entry per report day). This is the zero-copy bridge between columnar
-/// buffers and the varint codec: on the encode side
-/// [`encode_drive_soa`] walks the columns row by row and emits bytes
-/// identical to [`encode_trace`] on the equivalent [`DriveLog`]; on the
-/// decode side [`TraceDecoder::next_drive_columns`] lends this view over
-/// internal buffers.
+/// entry per report day). This is the zero-copy bridge from the
+/// simulator's columnar buffers to the varint codec: [`encode_drive_soa`]
+/// walks the columns row by row and emits bytes identical to
+/// [`encode_trace`] on the equivalent [`DriveLog`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReportColumns<'a> {
     /// Report age in days since deployment (`DailyReport::age_days`).
@@ -587,120 +580,14 @@ fn decode_drive_into<S: Src>(
     decode_swaps_into(src, &mut log.swaps)
 }
 
-/// Internal columnar buffers the streaming decoder recycles between
-/// drives for [`TraceDecoder::next_drive_columns`].
-#[derive(Debug, Default)]
-struct ColumnStore {
-    age_days: Vec<u32>,
-    read_ops: Vec<u64>,
-    write_ops: Vec<u64>,
-    erase_ops: Vec<u64>,
-    pe_cycles: Vec<u32>,
-    status_flags: Vec<u8>,
-    factory_bad_blocks: Vec<u32>,
-    grown_bad_blocks: Vec<u32>,
-    errors: [Vec<u64>; ErrorKind::COUNT],
-    swaps: Vec<SwapEvent>,
-    log_weight: f64,
-}
-
-impl ColumnStore {
-    fn clear(&mut self) {
-        self.log_weight = 0.0;
-        self.age_days.clear();
-        self.read_ops.clear();
-        self.write_ops.clear();
-        self.erase_ops.clear();
-        self.pe_cycles.clear();
-        self.status_flags.clear();
-        self.factory_bad_blocks.clear();
-        self.grown_bad_blocks.clear();
-        for col in &mut self.errors {
-            col.clear();
-        }
-        self.swaps.clear();
-    }
-
-    fn view(&self) -> ReportColumns<'_> {
-        ReportColumns {
-            age_days: &self.age_days,
-            read_ops: &self.read_ops,
-            write_ops: &self.write_ops,
-            erase_ops: &self.erase_ops,
-            pe_cycles: &self.pe_cycles,
-            status_flags: &self.status_flags,
-            factory_bad_blocks: &self.factory_bad_blocks,
-            grown_bad_blocks: &self.grown_bad_blocks,
-            errors: std::array::from_fn(|i| self.errors[i].as_slice()),
-        }
-    }
-}
-
-/// Decodes one drive record straight into columnar buffers (no
-/// `DailyReport` structs), returning its identity.
-fn decode_drive_columns_into<S: Src>(
-    src: &mut S,
-    version: Version,
-    cols: &mut ColumnStore,
-) -> Result<(DriveId, DriveModel), DecodeError> {
-    cols.clear();
-    let id = DriveId(get_varint_u32(src)?);
-    let model = decode_model(src)?;
-    cols.log_weight = match version {
-        Version::V1 => 0.0,
-        Version::V2 => f64::from_bits(get_varint(src)?),
-    };
-    let n_reports = get_varint(src)? as usize;
-    for _ in 0..n_reports {
-        cols.age_days.push(get_varint_u32(src)?);
-        cols.read_ops.push(get_varint(src)?);
-        cols.write_ops.push(get_varint(src)?);
-        cols.erase_ops.push(get_varint(src)?);
-        cols.pe_cycles.push(get_varint_u32(src)?);
-        cols.status_flags.push(src.next_u8()?);
-        cols.factory_bad_blocks.push(get_varint_u32(src)?);
-        cols.grown_bad_blocks.push(get_varint_u32(src)?);
-        for col in &mut cols.errors {
-            col.push(get_varint(src)?);
-        }
-    }
-    decode_swaps_into(src, &mut cols.swaps)?;
-    Ok((id, model))
-}
-
-/// One decoded drive, lent as a borrowed columnar view by
-/// [`TraceDecoder::next_drive_columns`]. Valid until the next decoder
-/// call; the backing buffers are recycled between drives.
-#[derive(Debug, Clone, Copy)]
-pub struct DriveColumns<'a> {
-    /// Drive identifier.
-    pub id: DriveId,
-    /// Drive model.
-    pub model: DriveModel,
-    /// Struct-of-arrays view over the drive's daily reports.
-    pub columns: ReportColumns<'a>,
-    /// The drive's swap events.
-    pub swaps: &'a [SwapEvent],
-    /// Importance-sampling log-weight (`0.0` in legacy v1 archives).
-    pub log_weight: f64,
-}
-
 /// Streaming archive reader: pulls drives one at a time from any
 /// [`Read`] source at constant memory.
 ///
 /// The header (magic, horizon, declared drive count) is read eagerly by
-/// [`new`](TraceDecoder::new); drives are then decoded on demand:
-///
-/// * [`next_drive_into`](TraceDecoder::next_drive_into) — fold-style
-///   consumption reusing one caller-owned [`DriveLog`]; the decoder's
-///   buffer-reuse contract means a full pass over a multi-GB archive
-///   allocates only one drive's worth of reports at a time.
-/// * [`read_chunk_into`](TraceDecoder::read_chunk_into) — chunked
-///   consumption into a recycled `Vec<DriveLog>`.
-/// * [`next_drive_columns`](TraceDecoder::next_drive_columns) — borrowed
-///   [`ReportColumns`] views for columnar folds, no per-report structs.
-/// * The [`Iterator`] impl yields owned `Result<DriveLog, DecodeError>`
-///   for convenience when allocation per drive is acceptable.
+/// [`new`](TraceDecoder::new); drives are then decoded on demand by
+/// [`next_drive_into`](TraceDecoder::next_drive_into), which reuses one
+/// caller-owned [`DriveLog`], so a full pass over a multi-GB archive
+/// allocates only one drive's worth of reports at a time.
 ///
 /// Exactly the declared number of drives is decoded; trailing bytes after
 /// the last drive are ignored, matching [`decode_trace`]. A source that
@@ -713,7 +600,6 @@ pub struct TraceDecoder<R> {
     horizon_days: u32,
     n_drives: u64,
     decoded: u64,
-    cols: ColumnStore,
 }
 
 impl<R: Read> TraceDecoder<R> {
@@ -735,14 +621,13 @@ impl<R: Read> TraceDecoder<R> {
             horizon_days,
             n_drives,
             decoded: 0,
-            cols: ColumnStore::default(),
         })
     }
 
     /// True when the archive uses the legacy v1 (weightless) framing; all
     /// its drives decode with log-weight `0.0`. Test-only introspection.
     #[cfg(test)]
-    pub fn is_legacy_weightless(&self) -> bool {
+    fn is_legacy_weightless(&self) -> bool {
         self.version == Version::V1
     }
 
@@ -758,14 +643,14 @@ impl<R: Read> TraceDecoder<R> {
 
     /// Number of drives decoded so far. Test-only introspection.
     #[cfg(test)]
-    pub fn drives_decoded(&self) -> u64 {
+    fn drives_decoded(&self) -> u64 {
         self.decoded
     }
 
     /// Absolute byte offset of the next unread archive byte. Test-only
     /// introspection.
     #[cfg(test)]
-    pub fn byte_offset(&self) -> u64 {
+    fn byte_offset(&self) -> u64 {
         self.src.offset()
     }
 
@@ -779,78 +664,6 @@ impl<R: Read> TraceDecoder<R> {
         decode_drive_into(&mut self.src, self.version, log)?;
         self.decoded += 1;
         Ok(true)
-    }
-
-    /// Decodes up to `max_drives` drives into `out`, reusing both the
-    /// vector and each element's buffers. `out` is truncated to the number
-    /// of drives actually decoded; returns that count (`0` at end of
-    /// archive).
-    pub fn read_chunk_into(
-        &mut self,
-        max_drives: usize,
-        out: &mut Vec<DriveLog>,
-    ) -> Result<usize, DecodeError> {
-        let mut n = 0usize;
-        while n < max_drives && self.decoded < self.n_drives {
-            if n == out.len() {
-                out.push(DriveLog::new(DriveId(0), DriveModel::from_index(0)));
-            }
-            decode_drive_into(&mut self.src, self.version, &mut out[n])?;
-            self.decoded += 1;
-            n += 1;
-        }
-        out.truncate(n);
-        Ok(n)
-    }
-
-    /// Decodes the next drive into internal columnar buffers and lends a
-    /// borrowed view. Returns `Ok(None)` once all declared drives have
-    /// been decoded. The view is invalidated by the next decoder call.
-    pub fn next_drive_columns(&mut self) -> Result<Option<DriveColumns<'_>>, DecodeError> {
-        if self.decoded >= self.n_drives {
-            return Ok(None);
-        }
-        let (id, model) = decode_drive_columns_into(&mut self.src, self.version, &mut self.cols)?;
-        self.decoded += 1;
-        Ok(Some(DriveColumns {
-            id,
-            model,
-            columns: self.cols.view(),
-            swaps: &self.cols.swaps,
-            log_weight: self.cols.log_weight,
-        }))
-    }
-
-    /// Folds `f` over every remaining drive with one reused scratch
-    /// [`DriveLog`] — the constant-memory way to run a per-drive analysis
-    /// over an arbitrarily large archive.
-    pub fn for_each_drive(
-        &mut self,
-        mut f: impl FnMut(&DriveLog),
-    ) -> Result<(), DecodeError> {
-        let mut scratch = DriveLog::new(DriveId(0), DriveModel::from_index(0));
-        while self.next_drive_into(&mut scratch)? {
-            f(&scratch);
-        }
-        Ok(())
-    }
-}
-
-impl<R: Read> Iterator for TraceDecoder<R> {
-    type Item = Result<DriveLog, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut log = DriveLog::new(DriveId(0), DriveModel::from_index(0));
-        match self.next_drive_into(&mut log) {
-            Ok(true) => Some(Ok(log)),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = usize::try_from(self.n_drives - self.decoded).unwrap_or(usize::MAX);
-        (0, Some(remaining))
     }
 }
 
@@ -1338,6 +1151,16 @@ mod tests {
         }
     }
 
+    /// Drains a decoder through one reused `DriveLog`, cloning each drive.
+    fn drain<R: Read>(dec: &mut TraceDecoder<R>) -> Result<Vec<DriveLog>, DecodeError> {
+        let mut log = DriveLog::new(DriveId(0), DriveModel::from_index(0));
+        let mut drives = Vec::new();
+        while dec.next_drive_into(&mut log)? {
+            drives.push(log.clone());
+        }
+        Ok(drives)
+    }
+
     #[test]
     fn stream_decoder_matches_resident_decode() {
         let t = sample_trace();
@@ -1347,72 +1170,11 @@ mod tests {
             let mut dec = TraceDecoder::with_buffer_capacity(reader, 32).unwrap();
             assert_eq!(dec.horizon_days(), t.horizon_days);
             assert_eq!(dec.n_drives(), t.drives.len() as u64);
-            let drives: Vec<DriveLog> =
-                (&mut dec).map(|d| d.expect("stream decode")).collect();
+            let drives = drain(&mut dec).expect("stream decode");
             assert_eq!(drives, t.drives, "per-read budget {max}");
             assert_eq!(dec.drives_decoded(), t.drives.len() as u64);
             assert_eq!(dec.byte_offset(), bytes.len() as u64);
         }
-    }
-
-    #[test]
-    fn stream_decoder_reuses_buffers_in_fold() {
-        let t = sample_trace();
-        let bytes = encode_trace(&t);
-        let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
-        let mut seen = Vec::new();
-        dec.for_each_drive(|d| seen.push(d.clone())).unwrap();
-        assert_eq!(seen, t.drives);
-    }
-
-    #[test]
-    fn stream_decoder_chunks_cover_all_drives() {
-        let t = sample_trace();
-        let bytes = encode_trace(&t);
-        for chunk in [1usize, 2, 3, 100] {
-            let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
-            let mut out = Vec::new();
-            let mut all = Vec::new();
-            loop {
-                let n = dec.read_chunk_into(chunk, &mut out).unwrap();
-                if n == 0 {
-                    break;
-                }
-                assert!(n <= chunk);
-                assert_eq!(out.len(), n);
-                all.extend(out.iter().cloned());
-            }
-            assert_eq!(all, t.drives, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn stream_decoder_columns_match_owned_drives() {
-        let t = sample_trace();
-        let bytes = encode_trace(&t);
-        let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
-        for expected in &t.drives {
-            let view = dec.next_drive_columns().unwrap().expect("one view per drive");
-            assert_eq!(view.id, expected.id);
-            assert_eq!(view.model, expected.model);
-            assert_eq!(view.swaps, expected.swaps.as_slice());
-            assert_eq!(view.columns.len(), expected.reports.len());
-            assert_eq!(view.log_weight.to_bits(), expected.log_weight.to_bits());
-            // Re-encoding the borrowed view reproduces the drive's bytes.
-            let mut via_cols = Vec::new();
-            encode_drive_soa(
-                &mut via_cols,
-                view.id,
-                view.model,
-                view.log_weight,
-                view.columns,
-                view.swaps,
-            );
-            let mut via_log = Vec::new();
-            encode_drive(&mut via_log, expected);
-            assert_eq!(via_cols, via_log);
-        }
-        assert!(dec.next_drive_columns().unwrap().is_none());
     }
 
     #[test]
@@ -1421,7 +1183,7 @@ mod tests {
         let bytes = encode_trace(&t);
         let cut = &bytes[..bytes.len() - 5];
         let mut dec = TraceDecoder::new(cut).unwrap();
-        let err = dec.find_map(|r| r.err()).expect("truncation must error");
+        let err = drain(&mut dec).expect_err("truncation must error");
         assert_eq!(err, DecodeError::UnexpectedEof { offset: cut.len() as u64 });
     }
 
@@ -1458,7 +1220,7 @@ mod tests {
         let half = bytes.len() / 2;
         let reader = FailAfter { data: bytes[..half].to_vec(), pos: 0 };
         let mut dec = TraceDecoder::with_buffer_capacity(reader, 16).unwrap();
-        let err = dec.find_map(|r| r.err()).expect("io failure must surface");
+        let err = drain(&mut dec).expect_err("io failure must surface");
         match err {
             DecodeError::Io { offset, kind, .. } => {
                 assert_eq!(kind, std::io::ErrorKind::BrokenPipe);
@@ -1522,15 +1284,10 @@ mod tests {
             d.log_weight = 0.0;
         }
         assert_eq!(back, expected);
-        // Streaming path, both record shapes.
+        // Streaming path.
         let mut dec = TraceDecoder::new(&v1[..]).unwrap();
         assert!(dec.is_legacy_weightless());
-        let drives: Vec<DriveLog> = (&mut dec).map(|d| d.unwrap()).collect();
-        assert_eq!(drives, expected.drives);
-        let mut dec = TraceDecoder::new(&v1[..]).unwrap();
-        while let Some(view) = dec.next_drive_columns().unwrap() {
-            assert_eq!(view.log_weight.to_bits(), 0);
-        }
+        assert_eq!(drain(&mut dec).unwrap(), expected.drives);
         // Current-format archives are not flagged legacy.
         let v2 = encode_trace(&t);
         assert!(!TraceDecoder::new(&v2[..]).unwrap().is_legacy_weightless());
@@ -1605,7 +1362,6 @@ mod tests {
         bytes.extend_from_slice(b"trailing junk");
         assert_eq!(decode_trace(&bytes).unwrap(), t);
         let mut dec = TraceDecoder::new(&bytes[..]).unwrap();
-        let n = (&mut dec).filter(|r| r.is_ok()).count();
-        assert_eq!(n, t.drives.len());
+        assert_eq!(drain(&mut dec).unwrap(), t.drives);
     }
 }

@@ -27,7 +27,7 @@
 use crate::codec::{decode_trace, trace_from_json, DecodeError, TraceDecoder};
 use crate::csv::{read_trace_csv, CsvError};
 use crate::json::JsonError;
-use crate::{DriveId, DriveLog, DriveModel, FleetTrace};
+use crate::{DriveLog, FleetTrace};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -284,26 +284,13 @@ impl TraceReader<'_> {
             }
         }
     }
-
-    /// Folds `f` over every remaining drive with one reused scratch
-    /// [`DriveLog`].
-    pub fn for_each_drive(
-        &mut self,
-        mut f: impl FnMut(&DriveLog),
-    ) -> Result<(), TraceReadError> {
-        let mut scratch = DriveLog::new(DriveId(0), DriveModel::from_index(0));
-        while self.next_drive_into(&mut scratch)? {
-            f(&scratch);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::encode_trace;
-    use crate::{DailyReport, SwapEvent};
+    use crate::{DailyReport, DriveId, DriveModel, SwapEvent};
 
     fn sample_trace() -> FleetTrace {
         let mut t = FleetTrace::new(365);
@@ -327,8 +314,11 @@ mod tests {
     }
 
     fn drain(reader: &mut TraceReader<'_>) -> Vec<DriveLog> {
+        let mut drive = DriveLog::new(DriveId(0), DriveModel::from_index(0));
         let mut out = Vec::new();
-        reader.for_each_drive(|d| out.push(d.clone())).unwrap();
+        while reader.next_drive_into(&mut drive).unwrap() {
+            out.push(drive.clone());
+        }
         out
     }
 

@@ -9,6 +9,7 @@
 use ssd_field_study::core::streaming::SummaryAccumulator;
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::codec::{decode_trace, TraceDecoder};
+use ssd_field_study::types::{DriveId, DriveLog, DriveModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,7 +83,10 @@ fn streaming_summary_allocates_a_fraction_of_resident_decode() {
     let baseline = reset_peak();
     let mut dec = TraceDecoder::new(bytes.as_slice()).expect("header");
     let mut acc = SummaryAccumulator::new();
-    dec.for_each_drive(|d| acc.observe(d)).expect("stream");
+    let mut drive = DriveLog::new(DriveId(0), DriveModel::from_index(0));
+    while dec.next_drive_into(&mut drive).expect("stream") {
+        acc.observe(&drive);
+    }
     let summary = acc.finish();
     let streaming_peak = PEAK.load(Ordering::Relaxed) - baseline;
 
