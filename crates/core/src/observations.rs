@@ -101,8 +101,7 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
         .points
         .iter()
         .filter(|(m, _)| *m < 3.0)
-        .map(|(_, r)| *r)
-        .sum::<f64>()
+        .fold(0.0, |acc, (_, r)| acc + r)
         / 3.0;
     let mature_rates: Vec<f64> = fa
         .monthly_rate
@@ -111,7 +110,10 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
         .filter(|(m, _)| (6.0..48.0).contains(m))
         .map(|(_, r)| *r)
         .collect();
-    let mature_rate = mature_rates.iter().sum::<f64>() / mature_rates.len().max(1) as f64;
+    // Means sum from +0.0: `Iterator::sum` starts at -0.0, which an empty
+    // window would print as "-0.0000".
+    let mean = |rates: &[f64]| rates.iter().fold(0.0, |acc, r| acc + r) / rates.len().max(1) as f64;
+    let mature_rate = mean(&mature_rates);
     out.push(check(
         6,
         "drives younger than 90 days have markedly higher failure rates",
@@ -127,7 +129,7 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
         .filter(|(m, _)| (36.0..60.0).contains(m))
         .map(|(_, r)| *r)
         .collect();
-    let late = late_rates.iter().sum::<f64>() / late_rates.len().max(1) as f64;
+    let late = mean(&late_rates);
     out.push(check(
         7,
         "old drives fail at roughly the same rate as young non-infant drives",
@@ -165,10 +167,8 @@ pub fn audit_trace_observations(trace: &FleetTrace) -> Vec<ObservationCheck> {
             .and_then(|s| s.points.first().map(|p| p.1))
     };
     let (y95, o95) = (p95("95% Young"), p95("95% Old"));
-    let tail_holds = match (y95, o95) {
-        (Some(y), Some(o)) => y > o,
-        _ => true, // too few young failures to measure at this scale
-    };
+    // Too few young or old failures to measure: the claim is unsupported.
+    let tail_holds = matches!((y95, o95), (Some(y), Some(o)) if y > o);
     out.push(check(
         10,
         "young failures, when symptomatic, show far higher error counts than mature ones",
@@ -275,6 +275,28 @@ mod tests {
             "observations failing on calibrated fleet: {failing:?}"
         );
         let _ = render_checks(&checks).render();
+    }
+
+    #[test]
+    fn short_horizon_audit_neither_passes_unmeasurable_checks_nor_prints_negative_zero() {
+        // 800 days: no drive reaches month 36, and too few failures for
+        // the young/old percentile comparison of Obs 10.
+        let t = ssd_sim::FleetGen::new(&ssd_sim::SimConfig {
+            drives_per_model: 40,
+            horizon_days: 800,
+            seed: 11,
+            ..ssd_sim::SimConfig::default()
+        })
+        .trace();
+        let checks = audit_trace_observations(&t);
+        for c in &checks {
+            assert!(!c.measured.contains("-0.0"), "obs {}: {}", c.id, c.measured);
+        }
+        let obs7 = &checks[6];
+        assert!(obs7.measured.ends_with("months 36-60 rate 0.0000"), "{}", obs7.measured);
+        let obs10 = &checks[9];
+        assert!(obs10.measured.contains("None"), "{}", obs10.measured);
+        assert!(!obs10.holds, "an unmeasurable check must not hold");
     }
 
     #[test]
