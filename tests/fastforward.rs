@@ -12,7 +12,7 @@
 
 use ssd_field_study::core::failure::period_durations;
 use ssd_field_study::core::lifecycle::time_to_failure_km;
-use ssd_field_study::core::streaming::{StreamSummary, SummaryAccumulator};
+use ssd_field_study::core::streaming::summarize;
 use ssd_field_study::ml::{roc_auc, roc_auc_weighted};
 use ssd_field_study::sim::{FleetGen, Sampling, SimConfig};
 use ssd_field_study::stats::KaplanMeier;
@@ -40,14 +40,6 @@ fn boosted_trace() -> FleetTrace {
     FleetGen::new(&cfg())
         .sampling(Sampling::Importance { boost: BOOST })
         .trace()
-}
-
-fn summarize(trace: &FleetTrace) -> StreamSummary {
-    let mut acc = SummaryAccumulator::new();
-    for d in &trace.drives {
-        acc.observe(d);
-    }
-    acc.finish()
 }
 
 /// Step-function evaluation of a Kaplan–Meier curve at time `t`.
