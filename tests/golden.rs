@@ -1,13 +1,16 @@
-//! Byte-level goldens for the per-drive trace analyses and every surface
-//! that prints them: the test-scale `repro` JSON of the trace-only
-//! experiments, the `ssdstat` report (with and without `--audit`, uniform
-//! and importance-sampled archives), and the fleet service's summary and
-//! survival answers.
+//! Byte-level goldens for the per-drive trace analyses, the paper's §5
+//! model evaluation, and every surface that prints them: the test-scale
+//! `repro` JSON of every experiment, the `ssdstat` report (with and
+//! without `--audit`, uniform and importance-sampled archives), and the
+//! fleet service's summary and survival answers.
 //!
 //! Each test renders its outputs into `target/tmp/golden/` and compares
 //! them byte for byte with the committed copies in `tests/golden/`, so a
 //! change to any pinned number is a failing diff that has to be reviewed
-//! and committed on purpose. After an intended change, regenerate with:
+//! and committed on purpose. The two ROC-point figures (fig13, fig15, a
+//! few hundred KB each) are pinned by FNV-1a-64 digest and byte length in
+//! `repro_ml_digests.txt` instead of by copy. After an intended change,
+//! regenerate with:
 //!
 //! ```text
 //! cargo test --test golden; cp -r target/tmp/golden/. tests/golden/
@@ -27,6 +30,15 @@ const TRACE_IDS: [&str; 15] = [
     "fig1", "tab1", "tab2", "tab3", "tab4", "fig3", "fig4", "fig5", "tab5", "fig6", "fig7",
     "fig8", "fig9", "fig10", "fig11",
 ];
+
+/// The model-evaluation experiments (§5), in DESIGN.md order.
+const ML_IDS: [&str; 7] = ["tab6", "fig12", "fig13", "tab7", "fig14", "fig15", "fig16"];
+
+/// The JSON files of [`ML_IDS`] pinned by copy (`fig16` writes two).
+const ML_COPIED: [&str; 6] = ["tab6", "fig12", "tab7", "fig14", "fig16_young", "fig16_old"];
+
+/// The JSON files of [`ML_IDS`] pinned by digest: too large to commit.
+const ML_DIGESTED: [&str; 2] = ["fig13", "fig15"];
 
 /// Where this run's outputs are rendered; mirrors `tests/golden/`.
 fn actual_dir() -> PathBuf {
@@ -92,6 +104,54 @@ fn repro_trace_experiments_match_goldens() {
     args.extend(TRACE_IDS);
     run(env!("CARGO_BIN_EXE_repro"), &args);
     let names: Vec<String> = TRACE_IDS.iter().map(|id| format!("repro/{id}.json")).collect();
+    assert_goldens(&names);
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn repro_model_experiments_match_goldens() {
+    // Rendered outside `actual_dir()` so the regeneration recipe copies
+    // only the pinned files, never the large ROC figures.
+    let out = work_dir("repro_ml");
+    let mut args = vec!["--scale", "test", "--seed", "7", "--json", out.to_str().unwrap()];
+    args.extend(ML_IDS);
+    run(env!("CARGO_BIN_EXE_repro"), &args);
+    let read = |id: &str| {
+        std::fs::read(out.join(format!("{id}.json"))).unwrap_or_else(|e| panic!("read {id}: {e}"))
+    };
+    let mut names = Vec::new();
+    for id in ML_COPIED {
+        let name = format!("repro/{id}.json");
+        write_actual(&name, &read(id));
+        names.push(name);
+    }
+    let digests: String = ML_DIGESTED
+        .iter()
+        .map(|id| {
+            let bytes = read(id);
+            format!("repro/{id}.json {} {:016x}\n", bytes.len(), fnv1a64(&bytes))
+        })
+        .collect();
+    write_actual("repro_ml_digests.txt", digests.as_bytes());
+    let pinned = std::fs::read_to_string(golden_dir().join("repro_ml_digests.txt"))
+        .unwrap_or_default();
+    let differing: Vec<&str> = digests
+        .lines()
+        .filter(|line| !pinned.lines().any(|p| p == *line))
+        .filter_map(|line| line.split(' ').next())
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "length or FNV-1a-64 digest differs from tests/golden/repro_ml_digests.txt \
+         (rendered digests in {}): {differing:?}",
+        actual_dir().display()
+    );
     assert_goldens(&names);
 }
 
