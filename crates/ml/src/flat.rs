@@ -1,7 +1,7 @@
-//! Flattened tree ensembles for cache-friendly batch scoring.
+//! Flattened tree ensembles: the batch scoring path for every tree model.
 //!
 //! The pointer ensembles in [`crate::forest`] and [`crate::gbdt`] are the
-//! right shape for training but a poor fit for fleet-wide scoring: each
+//! right shape for training but a poor fit for scoring many rows: each
 //! prediction chases `Vec<Node>` enums across 50+ independently grown
 //! trees, so the working set per *row* is the entire ensemble. This module
 //! flattens a fitted ensemble into structure-of-arrays node tables —
@@ -10,6 +10,13 @@
 //! in blocks with a tree-outer / row-inner loop: one tree's hot upper
 //! levels stay resident in cache across a whole block of rows instead of
 //! the whole forest competing for cache on every row.
+//!
+//! It is the only batch path: `RandomForest::predict_batch` and
+//! `Gbdt::predict_batch` (cross-validation, permutation importance, the
+//! §5 experiments) flatten the model and call [`BatchScorer::predict_rows`],
+//! and the online predictor and the fleet service hold a flattened model
+//! directly. The pointer models keep only their single-row
+//! `predict_proba`, which is the reference this module is held to.
 //!
 //! Equivalence contract: for every row, [`FlatForest`] and [`FlatGbdt`]
 //! return probabilities *bit-identical* to the pointer models they were
@@ -530,9 +537,8 @@ mod tests {
             let q = flat.predict_proba(data.row(i));
             assert_eq!(p.to_bits(), q.to_bits(), "row {i}: {p} vs {q}");
         }
-        let batch_ptr = forest.predict_batch(&data);
-        let batch_flat = flat.predict_batch(&data);
-        assert_eq!(batch_ptr, batch_flat);
+        let per_row: Vec<f64> = (0..data.n_rows()).map(|i| forest.predict_proba(data.row(i))).collect();
+        assert_eq!(flat.predict_batch(&data), per_row);
     }
 
     #[test]
@@ -594,8 +600,8 @@ mod tests {
         let flat = FlatForest::from_forest(&forest);
         assert!(flat.predict_rows(&[], 2).is_empty());
         let scores = flat.predict_rows(data.raw_features(), 2);
-        assert_eq!(scores.len(), data.n_rows());
-        assert_eq!(scores, forest.predict_batch(&data));
+        let per_row: Vec<f64> = (0..data.n_rows()).map(|i| forest.predict_proba(data.row(i))).collect();
+        assert_eq!(scores, per_row);
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! The paper's best model across every experiment (Tables 6–8): "we find
 //! that Random Forest models perform best on this data set … since they
 //! work well with discrete data \[and\] are able to model nonlinear effects"
-//! (Section 5.2). Trees are trained in parallel (rayon), each from an
-//! independent deterministic seed, so the fitted forest is reproducible
-//! regardless of thread count.
+//! (Section 5.2). Trees are trained in parallel on the in-tree worker
+//! pool (`ssd_parallel`), each from an independent deterministic seed, so
+//! the fitted forest is reproducible regardless of thread count. Batch
+//! scoring flattens the forest and runs through [`crate::flat`].
 
 use crate::classifier::{Classifier, Trainer};
 use crate::dataset::Dataset;
+use crate::flat::{BatchScorer, FlatForest};
 use crate::split_kernel::{PresortedDataset, TreeScratch};
 use crate::tree::{DecisionTree, TreeConfig};
 use ssd_parallel::prelude::*;
@@ -160,13 +162,10 @@ impl Classifier for RandomForest {
         sum / f64_from_usize(self.trees.len())
     }
 
-    /// Parallel over rows; within a row, trees are reduced sequentially so
-    /// the result is a deterministic left-to-right average.
+    /// Flattens the forest and scores through [`FlatForest`], whose
+    /// per-row results are bit-identical to [`predict_proba`](Self::predict_proba).
     fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_rows())
-            .into_par_iter()
-            .map(|i| self.predict_proba(data.row(i)))
-            .collect()
+        FlatForest::from_forest(self).predict_rows(data.raw_features(), data.n_features())
     }
 
     fn name(&self) -> &'static str {
@@ -189,7 +188,6 @@ mod tests {
     use super::*;
     use crate::metrics::roc_auc;
     use ssd_stats::SplitMix64;
-use ssd_types::cast::{f64_from_usize, u64_from_usize, usize_from_u64};
 
     fn noisy_nonlinear(n: usize, seed: u64) -> Dataset {
         // Ring classification with label noise: forests should beat

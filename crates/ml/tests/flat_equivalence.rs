@@ -5,7 +5,9 @@
 //! These properties fit small ensembles on adversarial random datasets —
 //! heavy ties, quantized columns, bootstrap-style duplicate rows — and
 //! compare pointer vs flat per row, per batch, and across block
-//! boundaries, down to the last mantissa bit. Non-finite values are
+//! boundaries, down to the last mantissa bit. `RandomForest` and `Gbdt`
+//! batch-score through `ml::flat`, so their own `predict_batch` is held
+//! to their single-row `predict_proba` the same way. Non-finite values are
 //! covered on both sides of the ingest boundary: training rejects them
 //! (`Dataset::push_row` panics), while *scoring* rows may carry NaN/±inf
 //! and must route through flat trees exactly as through pointer trees.
@@ -72,6 +74,9 @@ fn flat_forest_is_bit_identical_on_random_tied_datasets() {
             let q = flat.predict_proba(data.row(i));
             assert_eq!(p.to_bits(), q.to_bits(), "train row {i}");
         }
+        // ...the forest's own batch path, which scores through `ml::flat`...
+        let per_row: Vec<f64> = (0..data.n_rows()).map(|i| forest.predict_proba(data.row(i))).collect();
+        assert_bits_eq("forest predict_batch", &per_row, &forest.predict_batch(&data));
         // ...and on fresh probes, through both the per-row and the
         // blocked batch path.
         let rows = probes(g, data.n_features(), 17);
@@ -97,6 +102,8 @@ fn flat_gbdt_is_bit_identical_on_random_tied_datasets() {
             let q = flat.predict_proba(data.row(i));
             assert_eq!(p.to_bits(), q.to_bits(), "train row {i}");
         }
+        let per_row: Vec<f64> = (0..data.n_rows()).map(|i| model.predict_proba(data.row(i))).collect();
+        assert_bits_eq("gbdt predict_batch", &per_row, &model.predict_batch(&data));
         let rows = probes(g, data.n_features(), 17);
         let flat_buf: Vec<f32> = rows.iter().flatten().copied().collect();
         let want: Vec<f64> = rows.iter().map(|r| model.predict_proba(r)).collect();
