@@ -44,10 +44,11 @@ cargo test -q --offline --workspace
 echo "== benches compile (all 5 targets) =="
 cargo bench --no-run --offline --workspace
 
-echo "== bench smoke: bench_sim (incl. fastforward + encode_stream/decode_stream) + ML kernels + flat predict + history compare =="
+echo "== bench smoke: bench_sim (incl. fastforward + encode_stream/decode_stream) + ML kernels (train + score) + flat predict + history compare =="
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_sim
 
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels train_2k_rows
+SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_ml_kernels score_2k_rows
 SSD_BENCH_SAMPLES=2 cargo bench --offline -p ssd-bench --bench bench_flat_predict flat_predict
 scripts/bench_compare.sh
 
