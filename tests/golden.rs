@@ -1,8 +1,9 @@
 //! Byte-level goldens for the per-drive trace analyses, the paper's §5
 //! model evaluation, and every surface that prints them: the test-scale
 //! `repro` JSON of every experiment, the `ssdstat` report (with and
-//! without `--audit`, uniform and importance-sampled archives), and the
-//! fleet service's summary and survival answers.
+//! without `--audit`, uniform and importance-sampled archives), the
+//! `ssdpredict` ranking (forest and GBDT), and the fleet service's
+//! summary, survival and top-K answers.
 //!
 //! Each test renders its outputs into `target/tmp/golden/` and compares
 //! them byte for byte with the committed copies in `tests/golden/`, so a
@@ -32,10 +33,12 @@ const TRACE_IDS: [&str; 15] = [
 ];
 
 /// The model-evaluation experiments (§5), in DESIGN.md order.
-const ML_IDS: [&str; 7] = ["tab6", "fig12", "fig13", "tab7", "fig14", "fig15", "fig16"];
+const ML_IDS: [&str; 8] = ["tab6", "fig12", "fig13", "tab7", "fig14", "fig15", "fig16", "tab8"];
 
 /// The JSON files of [`ML_IDS`] pinned by copy (`fig16` writes two).
-const ML_COPIED: [&str; 6] = ["tab6", "fig12", "tab7", "fig14", "fig16_young", "fig16_old"];
+const ML_COPIED: [&str; 7] = [
+    "tab6", "fig12", "tab7", "fig14", "fig16_young", "fig16_old", "tab8",
+];
 
 /// The JSON files of [`ML_IDS`] pinned by digest: too large to commit.
 const ML_DIGESTED: [&str; 2] = ["fig13", "fig15"];
@@ -155,9 +158,9 @@ fn repro_model_experiments_match_goldens() {
     assert_goldens(&names);
 }
 
-/// Generates the 120-drive, 800-day verify smoke fleet and returns the
-/// `ssdstat` stdout over it.
-fn ssdstat_on_smoke_fleet(name: &str, gen_extra: &[&str], stat_extra: &[&str]) -> Vec<u8> {
+/// Generates the 120-drive, 800-day verify smoke fleet into a fresh work
+/// dir and returns the archive path.
+fn smoke_fleet(name: &str, gen_extra: &[&str]) -> PathBuf {
     let dir = work_dir(name);
     let mut gen_args = vec![
         "--out",
@@ -173,7 +176,12 @@ fn ssdstat_on_smoke_fleet(name: &str, gen_extra: &[&str], stat_extra: &[&str]) -
     ];
     gen_args.extend(gen_extra);
     run(env!("CARGO_BIN_EXE_ssdgen"), &gen_args);
-    let archive = dir.join("trace.ssdfs");
+    dir.join("trace.ssdfs")
+}
+
+/// Returns the `ssdstat` stdout over the smoke fleet.
+fn ssdstat_on_smoke_fleet(name: &str, gen_extra: &[&str], stat_extra: &[&str]) -> Vec<u8> {
+    let archive = smoke_fleet(name, gen_extra);
     let mut stat_args = vec!["--trace", archive.to_str().unwrap()];
     stat_args.extend(stat_extra);
     run(env!("CARGO_BIN_EXE_ssdstat"), &stat_args)
@@ -194,8 +202,32 @@ fn ssdstat_importance_weighted_report_matches_golden() {
 }
 
 #[test]
-fn serve_summary_and_survival_match_goldens() {
-    // The fleet and configuration of `tests/serve.rs`.
+fn ssdpredict_rankings_match_goldens() {
+    let archive = smoke_fleet("predict", &[]);
+    let trace = archive.to_str().unwrap();
+    // The flags of the `ssdpredict` tests in `tests/bin_smoke.rs`.
+    let runs: [(&str, &[&str]); 2] = [
+        (
+            "ssdpredict_forest.txt",
+            &["--lookahead", "14", "--sample-rate", "0.5", "--seed", "7", "--trees", "10", "--top", "5"],
+        ),
+        (
+            "ssdpredict_gbdt.txt",
+            &["--model", "gbdt", "--lookahead", "14", "--sample-rate", "0.5", "--trees", "10"],
+        ),
+    ];
+    let mut names = Vec::new();
+    for (name, flags) in runs {
+        let mut args = vec!["--trace", trace];
+        args.extend(flags);
+        write_actual(name, &run(env!("CARGO_BIN_EXE_ssdpredict"), &args));
+        names.push(name.to_string());
+    }
+    assert_goldens(&names);
+}
+
+/// The service over the fleet and configuration of `tests/serve.rs`.
+fn golden_service() -> FleetService {
     let fleet = FleetGen::new(&SimConfig {
         drives_per_model: 50,
         horizon_days: 1200,
@@ -211,14 +243,29 @@ fn serve_summary_and_survival_match_goldens() {
         sample_rate: 0.5,
         seed: 7,
     };
-    let svc = FleetService::load(&TraceSource::InMemory(fleet), &config).expect("service loads");
+    FleetService::load(&TraceSource::InMemory(fleet), &config).expect("service loads")
+}
+
+/// Renders each `(golden name, request frame)` answer of the service.
+fn assert_service_goldens(frames: &[(&str, &str)]) {
+    let svc = golden_service();
     let mut names = Vec::new();
-    for (name, frame) in [
-        ("serve_summary.json", r#"{"q":"summary"}"#),
-        ("serve_survival.json", r#"{"q":"survival"}"#),
-    ] {
+    for (name, frame) in frames {
         write_actual(name, &svc.respond(frame.as_bytes()).expect("well-formed frame"));
         names.push(name.to_string());
     }
     assert_goldens(&names);
+}
+
+#[test]
+fn serve_summary_and_survival_match_goldens() {
+    assert_service_goldens(&[
+        ("serve_summary.json", r#"{"q":"summary"}"#),
+        ("serve_survival.json", r#"{"q":"survival"}"#),
+    ]);
+}
+
+#[test]
+fn serve_topk_matches_golden() {
+    assert_service_goldens(&[("serve_topk.json", r#"{"q":"topk","k":10}"#)]);
 }
