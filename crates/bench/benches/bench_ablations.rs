@@ -126,8 +126,7 @@ fn bench_importance_methods(c: &mut Criterion) {
     let data = dataset();
     let cfg = bench_predict_config();
     let all: Vec<usize> = (0..data.n_rows()).collect();
-    let idx = ssd_ml::downsample_majority(data, &all, 1.0, 1);
-    let train = data.select(&idx);
+    let train = ssd_ml::balanced(data, &all, 1.0, 1);
     let forest = RandomForest::fit(&cfg.forest, &train, 1);
 
     let top5 = |pairs: Vec<(String, f64)>| -> Vec<String> {

@@ -153,15 +153,14 @@ mod tests {
     use super::*;
     use crate::predict::test_support::shared_trace;
     use crate::PredictConfig;
-    use ssd_ml::{downsample_majority, Trainer};
+    use ssd_ml::{balanced, Trainer};
     use ssd_sim::{FleetGen, SimConfig};
 
     fn trained_model() -> Box<dyn Classifier> {
         let cfg = PredictConfig::fast(30);
         let data = cfg.dataset(shared_trace(), 3);
         let all: Vec<usize> = (0..data.n_rows()).collect();
-        let idx = downsample_majority(&data, &all, 1.0, 0);
-        cfg.forest.fit(&data.select(&idx), 0)
+        cfg.forest.fit(&balanced(&data, &all, 1.0, 0), 0)
     }
 
     #[test]

@@ -11,9 +11,10 @@ pub mod per_model;
 pub mod sweep;
 
 use crate::features::{build_dataset, ExtractOptions};
+use crate::report::Series;
 use ssd_ml::{
     CvOptions, ForestConfig, KnnConfig, LinearSvmConfig, LogisticRegressionConfig, MlpConfig,
-    Trainer, TreeConfig,
+    RocCurve, Trainer, TreeConfig,
 };
 use ssd_types::FleetTrace;
 
@@ -61,7 +62,8 @@ impl PredictConfig {
         }
     }
 
-    /// Extraction options for a swap-prediction dataset with lookahead `n`.
+    /// Extraction options for a swap-prediction dataset with lookahead `n`;
+    /// every other dataset view of the experiments overrides fields of it.
     pub fn extract_opts(&self, lookahead_days: u32) -> ExtractOptions {
         ExtractOptions {
             lookahead_days,
@@ -77,9 +79,9 @@ impl PredictConfig {
     }
 }
 
-/// The paper's six classifier families (Table 6 row order), with the
-/// hyperparameters our grid search settled on (see
-/// `benches/bench_ablations.rs` for the sweeps).
+/// The paper's six classifier families (Table 6 row order), with their
+/// default hyperparameters (see `benches/bench_ablations.rs` for sweeps
+/// around them).
 pub fn six_model_trainers() -> Vec<Box<dyn Trainer>> {
     vec![
         Box::new(LogisticRegressionConfig::default()),
@@ -89,6 +91,14 @@ pub fn six_model_trainers() -> Vec<Box<dyn Trainer>> {
         Box::new(TreeConfig::default()),
         Box::new(ForestConfig::default()),
     ]
+}
+
+/// A ROC curve as a plottable (FPR, TPR) series named `"{name} (AUC=…)"`.
+fn roc_series(name: &str, auc: f64, curve: &RocCurve) -> Series {
+    Series::new(
+        format!("{name} (AUC={auc:.3})"),
+        curve.points.iter().map(|p| (p.fpr, p.tpr)).collect(),
+    )
 }
 
 #[cfg(test)]

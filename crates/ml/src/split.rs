@@ -45,10 +45,20 @@ pub fn grouped_kfold(data: &Dataset, k: usize, seed: u64) -> Vec<Vec<usize>> {
     folds
 }
 
-/// Complement of a fold: all row indices not in `fold`.
+/// Complement of a fold: all row indices not in `fold`, ascending.
 pub fn complement(data: &Dataset, fold: &[usize]) -> Vec<usize> {
-    let in_fold: std::collections::BTreeSet<usize> = fold.iter().copied().collect();
-    (0..data.n_rows()).filter(|i| !in_fold.contains(i)).collect()
+    let mut in_fold = vec![false; data.n_rows()];
+    for &i in fold {
+        in_fold[i] = true;
+    }
+    (0..data.n_rows()).filter(|&i| !in_fold[i]).collect()
+}
+
+/// The training set of the paper's protocol (Section 5.1): the rows
+/// `rows` of `data` with the majority class downsampled by
+/// [`downsample_majority`] to `ratio` negatives per positive.
+pub fn balanced(data: &Dataset, rows: &[usize], ratio: f64, seed: u64) -> Dataset {
+    data.select(&downsample_majority(data, rows, ratio, seed))
 }
 
 /// Randomly downsamples the majority class among `indices` to achieve
@@ -193,6 +203,19 @@ mod tests {
         let ds = downsample_majority(&d, &all, 3.0, 5);
         let neg = ds.iter().filter(|&&i| !d.label(i)).count();
         assert_eq!(neg, 30);
+    }
+
+    #[test]
+    fn balanced_selects_the_downsampled_rows() {
+        let mut d = Dataset::with_dims(1);
+        for i in 0..100 {
+            d.push_row(&[i as f32], i % 10 == 0, i);
+        }
+        let rows: Vec<usize> = (20..100).collect();
+        let b = balanced(&d, &rows, 1.0, 5);
+        assert_eq!(b.class_counts(), (8, 8));
+        let idx = downsample_majority(&d, &rows, 1.0, 5);
+        assert_eq!(b.groups(), d.select(&idx).groups());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use ssd_field_study::core::{build_dataset, ExtractOptions};
 use ssd_field_study::ml::{
-    cross_validate, downsample_majority, grouped_kfold, Confusion, CvOptions, ForestConfig,
+    cross_validate, grouped_kfold, held_out_scores, Confusion, CvOptions, ForestConfig,
     GbdtConfig, KnnConfig, LinearSvmConfig, LogisticRegressionConfig, MlpConfig,
     NaiveBayesConfig, RocCurve, Trainer, TreeConfig,
 };
@@ -64,12 +64,7 @@ fn main() {
 
     // -- Pick an operating point on a held-out fold -----------------------
     let folds = grouped_kfold(&data, 5, 9);
-    let in_test: std::collections::HashSet<usize> = folds[0].iter().copied().collect();
-    let train_idx: Vec<usize> = (0..data.n_rows()).filter(|i| !in_test.contains(i)).collect();
-    let train_idx = downsample_majority(&data, &train_idx, 1.0, 9);
-    let model = ForestConfig::default().fit(&data.select(&train_idx), 9);
-    let test = data.select(&folds[0]);
-    let scores = model.predict_batch(&test);
+    let (test, scores) = held_out_scores(&ForestConfig::default(), &data, &folds[0], 1.0, 9);
     let curve = RocCurve::compute(&scores, test.labels());
     println!("\nheld-out AUC: {:.3}", curve.auc());
 

@@ -6,8 +6,8 @@ use ssd_field_study::core::{
     audit_trace_observations, build_dataset, drift_report, ExtractOptions,
 };
 use ssd_field_study::ml::{
-    cross_validate, expected_calibration_error, grouped_kfold, roc_auc, CvOptions,
-    ForestConfig, GbdtConfig, PlattScaler, Trainer,
+    cross_validate, expected_calibration_error, grouped_kfold, held_out_scores, roc_auc, CvOptions,
+    ForestConfig, GbdtConfig, PlattScaler,
 };
 use ssd_field_study::sim::{FleetGen, SimConfig};
 use ssd_field_study::types::FleetTrace;
@@ -78,17 +78,11 @@ fn calibration_improves_forest_probabilities() {
     // Hold out fold 0 for calibration + evaluation; train on the rest,
     // downsampled (which is exactly what mis-calibrates the forest).
     let folds = grouped_kfold(&data, 4, 1);
-    let held: std::collections::HashSet<usize> = folds[0].iter().copied().collect();
-    let train_idx: Vec<usize> = (0..data.n_rows()).filter(|i| !held.contains(i)).collect();
-    let train_idx = ssd_field_study::ml::downsample_majority(&data, &train_idx, 1.0, 1);
-    let model = ForestConfig {
+    let forest = ForestConfig {
         n_trees: 40,
         ..Default::default()
-    }
-    .fit(&data.select(&train_idx), 1);
-
-    let test = data.select(&folds[0]);
-    let raw = model.predict_batch(&test);
+    };
+    let (test, raw) = held_out_scores(&forest, &data, &folds[0], 1.0, 1);
     let scaler = PlattScaler::fit(&raw, test.labels());
     let cal = scaler.transform_batch(&raw);
 
