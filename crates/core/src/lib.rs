@@ -58,7 +58,7 @@ pub use features::{
     build_dataset, build_dataset_streaming, feature_names, AgeFilter, ExtractOptions, LabelKind,
     RollingFeatures,
 };
-pub use predict::online::OnlineFleet;
+pub use predict::online::{risk_order, OnlineFleet};
 pub use observations::{audit_model_observations, audit_trace_observations, ObservationCheck};
 pub use policy::{evaluate_policy, PolicyCosts, PolicyOutcome};
 pub use predict::PredictConfig;

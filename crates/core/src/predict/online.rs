@@ -38,6 +38,14 @@
 use crate::features::{RollingFeatures, N_FEATURES};
 use ssd_ml::BatchScorer;
 use ssd_types::{DailyReport, DriveId, DriveLog, DriveModel};
+use std::cmp::Ordering;
+
+/// The fleet's risk order over `(drive, score)`: highest score first,
+/// ties toward the lower drive id, so a ranking is a total order that is
+/// stable across runs, pool sizes and shard counts.
+pub fn risk_order(a: (DriveId, f64), b: (DriveId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0))
+}
 use std::collections::BTreeMap;
 
 /// Incremental feature state for every drive seen so far, materialized as

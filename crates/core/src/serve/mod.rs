@@ -24,4 +24,4 @@ pub mod shard;
 
 pub use protocol::{read_frame, write_frame, ProtocolError, Request};
 pub use server::{serve_connection, Dispatcher, Responder};
-pub use service::{FleetService, ScorerSpec, ServeConfig, ServeError};
+pub use service::{train_scorer, FleetService, ScorerSpec, ServeConfig, ServeError, TrainedScorer};

@@ -31,7 +31,7 @@
 
 use super::protocol::Request;
 use crate::failure::{failure_records, period_durations};
-use crate::predict::online::OnlineFleet;
+use crate::predict::online::{risk_order, OnlineFleet};
 use crate::streaming::SummaryAccumulator;
 use ssd_ml::BatchScorer;
 use ssd_stats::{BinnedRate, Duration};
@@ -122,9 +122,8 @@ impl ShardState {
         }
         if let (Some(k), Some(scorer)) = (plan.top_k, &self.scorer) {
             let mut scored = self.online.predict_fleet_day(scorer.as_ref());
-            // Highest risk first, ties toward the lower drive id — the
-            // same total order the merge step re-applies globally.
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+            // The same total order the merge step re-applies globally.
+            scored.sort_by(|a, b| risk_order(*a, *b));
             scored.truncate(k);
             partial.top = scored
                 .into_iter()
@@ -240,8 +239,7 @@ impl ShardPartial {
     /// Re-applies the global total order to the merged top rows and
     /// truncates to `k`.
     pub fn finish_top(&mut self, k: usize) {
-        self.top
-            .sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0 .0.cmp(&b.0 .0)));
+        self.top.sort_by(|a, b| risk_order((a.0, a.2), (b.0, b.2)));
         self.top.truncate(k);
     }
 }

@@ -12,14 +12,14 @@
 //! directory (then `--horizon` is required). The run is two streaming
 //! passes over the source, each holding one drive resident:
 //!
-//! 1. **Train** — `build_dataset_streaming` folds every drive into a
-//!    labeled dataset (swap within `--lookahead` days), a random forest
-//!    or GBDT is fitted, and the ensemble is flattened into contiguous
-//!    node arrays (`ssd_ml::flat`).
+//! 1. **Train** — the service's `train_scorer` (the one online trainer,
+//!    shared with `ssdserve`) folds every drive into a labeled dataset
+//!    (swap within `--lookahead` days), fits a random forest or GBDT, and
+//!    flattens the ensemble into contiguous node arrays (`ssd_ml::flat`).
 //! 2. **Score** — each drive's history replays through [`OnlineFleet`]'s
 //!    incremental feature state; one `predict_fleet_day` batch call then
-//!    scores the whole fleet's current day, and the top `--top` risky
-//!    drives are printed.
+//!    scores the whole fleet's current day, and the top `--top` drives in
+//!    [`risk_order`] are printed.
 //!
 //! Output is deterministic for fixed inputs and flags, for every
 //! thread-pool size.
@@ -27,9 +27,9 @@
 #![forbid(unsafe_code)]
 
 use ssd_field_study::cli::{self, ArgStream, BinError, UsageError};
-use ssd_field_study_core::features::{build_dataset_streaming, ExtractOptions};
-use ssd_field_study_core::OnlineFleet;
-use ssd_ml::{BatchScorer, FlatForest, FlatGbdt, ForestConfig, Gbdt, GbdtConfig, RandomForest};
+use ssd_field_study_core::features::ExtractOptions;
+use ssd_field_study_core::serve::{train_scorer, ScorerSpec};
+use ssd_field_study_core::{risk_order, OnlineFleet};
 use ssd_types::source::TraceSource;
 use ssd_types::{DriveId, DriveLog, DriveModel};
 
@@ -87,58 +87,28 @@ fn parse_args() -> Result<Args, UsageError> {
     Ok(args)
 }
 
-/// Trains the requested model on the streamed dataset and flattens it.
-fn train_scorer(
-    args: &Args,
-    data: &ssd_ml::Dataset,
-) -> Result<Box<dyn BatchScorer>, BinError> {
-    match args.model.as_str() {
-        "forest" => {
-            let cfg = ForestConfig {
-                n_trees: args.trees,
-                ..Default::default()
-            };
-            let forest = RandomForest::fit(&cfg, data, args.seed);
-            Ok(Box::new(FlatForest::from_forest(&forest)))
-        }
-        "gbdt" => {
-            let cfg = GbdtConfig {
-                n_trees: args.trees,
-                ..Default::default()
-            };
-            let model = Gbdt::fit(&cfg, data, args.seed);
-            Ok(Box::new(FlatGbdt::from_gbdt(&model)))
-        }
-        other => Err(format!("unknown model '{other}' (use forest|gbdt)").into()),
-    }
-}
-
 fn run(args: &Args) -> Result<(), BinError> {
     let source = TraceSource::from_path(&args.trace, args.horizon)?;
 
-    // Pass 1: stream the trace into a labeled training set.
+    // Pass 1: stream the trace into a labeled training set and fit.
     let opts = ExtractOptions {
         lookahead_days: args.lookahead,
         negative_sample_rate: args.sample_rate,
         seed: args.seed,
         ..Default::default()
     };
-    let mut reader = source.open()?;
-    let data = build_dataset_streaming(&mut reader, &opts)?;
-    let (pos, neg) = data.class_counts();
-    if pos == 0 || neg == 0 {
-        return Err(format!(
-            "training data needs both classes: {pos} positive / {neg} negative rows \
-             (try a longer trace or a larger --lookahead)"
-        )
-        .into());
+    let trained = match ScorerSpec::from_name(&args.model, args.trees) {
+        Some(ScorerSpec::None) | None => None,
+        Some(spec) => train_scorer(&source, spec, &opts)?,
     }
-    let scorer = train_scorer(args, &data)?;
+    .ok_or_else(|| format!("unknown model '{}' (use forest|gbdt)", args.model))?;
+    let scorer = trained.scorer;
     eprintln!(
-        "trained {} ({} trees) on {} rows ({pos} positive) in one streaming pass",
+        "trained {} ({} trees) on {} rows ({} positive) in one streaming pass",
         scorer.scorer_name(),
         args.trees,
-        data.n_rows()
+        trained.rows,
+        trained.positives
     );
 
     // Pass 2: replay each drive's telemetry through the online feature
@@ -155,9 +125,7 @@ fn run(args: &Args) -> Result<(), BinError> {
         fleet.observe_drive(&drive);
     }
     let mut scored = fleet.predict_fleet_day(scorer.as_ref());
-    // Highest risk first; ties break toward the lower drive id so the
-    // report is stable across runs and pool sizes.
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+    scored.sort_by(|a, b| risk_order(*a, *b));
 
     let n = fleet.n_drives();
     let mean = if n == 0 {

@@ -84,21 +84,13 @@ fn parse_args() -> Result<Args, UsageError> {
     Ok(args)
 }
 
-fn scorer_spec(args: &Args) -> Result<ScorerSpec, BinError> {
-    match args.model.as_str() {
-        "forest" => Ok(ScorerSpec::Forest { trees: args.trees }),
-        "gbdt" => Ok(ScorerSpec::Gbdt { trees: args.trees }),
-        "none" => Ok(ScorerSpec::None),
-        other => Err(format!("unknown model '{other}' (use forest|gbdt|none)").into()),
-    }
-}
-
 fn run(args: &Args) -> Result<(), BinError> {
     let source = TraceSource::from_path(&args.trace, args.horizon)?;
     let cfg = ServeConfig {
         shards: args.shards,
         queue_cap: args.queue_cap,
-        scorer: scorer_spec(args)?,
+        scorer: ScorerSpec::from_name(&args.model, args.trees)
+            .ok_or_else(|| format!("unknown model '{}' (use forest|gbdt|none)", args.model))?,
         lookahead_days: args.lookahead,
         sample_rate: args.sample_rate,
         seed: args.seed,

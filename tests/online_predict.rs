@@ -18,7 +18,7 @@
 //! online_predict -- --nocapture` after an intentional change).
 
 use ssd_field_study_core::{
-    build_dataset, build_dataset_streaming, ExtractOptions, OnlineFleet,
+    build_dataset, build_dataset_streaming, risk_order, ExtractOptions, OnlineFleet,
 };
 use ssd_ml::{FlatForest, ForestConfig, RandomForest};
 use ssd_sim::{FleetGen, SimConfig};
@@ -203,7 +203,7 @@ fn predict_fleet_day_goldens_are_pinned() {
     // Healthy end-of-trace drives all sit in pure-negative leaves and
     // score exactly 0.0; pin the top of the risk ranking instead, where
     // the interesting bits live (ties break toward the lower drive id).
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+    scored.sort_by(|a, b| risk_order(*a, *b));
     let got: Vec<f64> = scored.iter().take(8).map(|&(_, p)| p).collect();
 
     if std::env::var("SSD_GOLDEN_PRINT").is_ok() {

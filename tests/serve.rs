@@ -27,7 +27,7 @@ use ssd_field_study_core::serve::{
     serve_connection, Dispatcher, FleetService, Responder, ScorerSpec, ServeConfig,
 };
 use ssd_field_study_core::streaming::summarize;
-use ssd_field_study_core::{failure_records, lifecycle, OnlineFleet};
+use ssd_field_study_core::{failure_records, lifecycle, risk_order, OnlineFleet};
 use ssd_ml::{FlatForest, ForestConfig, RandomForest};
 use ssd_sim::{FleetGen, SimConfig};
 use ssd_stats::{BinnedRate, SplitMix64};
@@ -256,7 +256,7 @@ fn topk_response_matches_whole_fleet_online_ranking() {
         online.observe_drive(d);
     }
     let mut scored = online.predict_fleet_day(&scorer);
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+    scored.sort_by(|a, b| risk_order(*a, *b));
 
     let v = parse(&svc.respond(br#"{"q":"topk","k":25}"#).expect("respond"));
     let Some(Value::Arr(drives)) = v.get("drives") else {
