@@ -14,15 +14,9 @@
 //! cargo run --release --example proactive_policy
 //! ```
 
-use ssd_field_study::core::{build_dataset, failure_records, ExtractOptions, PolicyOutcome};
-use ssd_field_study::ml::{downsample_majority, ForestConfig, Trainer};
+use ssd_field_study::core::{build_dataset, evaluate_policy, ExtractOptions, PolicyCosts};
+use ssd_field_study::ml::{balanced, ForestConfig, Trainer};
 use ssd_field_study::sim::{FleetGen, SimConfig};
-use std::collections::HashSet;
-
-/// Relative costs (in arbitrary ops-budget units).
-const COST_EMERGENCY: f64 = 100.0; // unplanned failure: data rebuild, downtime
-const COST_PLANNED: f64 = 12.0; // proactive migration before failure
-const COST_FALSE_ALERT: f64 = 12.0; // migration that wasn't needed
 
 fn main() {
     // Train on one fleet, deploy on another (no shared drives).
@@ -48,86 +42,31 @@ fn main() {
     };
     let train_data = build_dataset(&train_trace, &opts);
     let all: Vec<usize> = (0..train_data.n_rows()).collect();
-    let idx = downsample_majority(&train_data, &all, 1.0, 0);
-    let model = ForestConfig::default().fit(&train_data.select(&idx), 0);
-    println!("predictor trained on {} balanced rows", idx.len());
+    let train = balanced(&train_data, &all, 1.0, 0);
+    let model = ForestConfig::default().fit(&train, 0);
+    println!("predictor trained on {} balanced rows", train.n_rows());
 
-    // Deployment: score EVERY reported day of the deployment fleet
-    // (negative_sample_rate = 1 so no day is skipped).
-    let deploy_opts = ExtractOptions {
-        lookahead_days: 3,
-        negative_sample_rate: 1.0,
-        ..Default::default()
-    };
-    let deploy_data = build_dataset(&deploy_trace, &deploy_opts);
-    let scores = model.predict_batch(&deploy_data);
-
+    // Deployment: the policy scores EVERY reported day of the deployment
+    // fleet; a drive is migrated at its first alert, and a failure is
+    // caught if that alert came at or before it.
     println!(
         "deployment fleet: {} drives, {} scored days\n",
         deploy_trace.n_drives(),
-        deploy_data.n_rows()
+        deploy_trace.total_drive_days()
     );
     println!(
         "{:>9} | {:>8} {:>8} {:>8} | {:>12} {:>12} {:>8}",
         "threshold", "caught", "missed", "false", "policy cost", "reactive", "saving"
     );
-
-    let n_failures: usize = deploy_trace
-        .drives
-        .iter()
-        .map(|d| failure_records(d).len())
-        .sum();
-    let reactive_cost = n_failures as f64 * COST_EMERGENCY;
-
-    for threshold in [0.5, 0.7, 0.9, 0.97] {
-        // A drive is "migrated" at its first alert; later alerts are free.
-        // A failure is caught if an alert fired at most 3 days before it.
-        let mut alerted_drives: HashSet<u32> = HashSet::new();
-        let mut alert_day: Vec<(u32, f32)> = Vec::new(); // (drive, age at first alert)
-        for i in 0..deploy_data.n_rows() {
-            if scores[i] >= threshold {
-                let drive = deploy_data.group(i);
-                if alerted_drives.insert(drive) {
-                    let age = deploy_data.row(i)[29]; // "drive age" column
-                    alert_day.push((drive, age));
-                }
-            }
-        }
-        let alert_of: std::collections::HashMap<u32, f32> =
-            alert_day.iter().copied().collect();
-
-        let mut caught = 0usize;
-        let mut missed = 0usize;
-        for d in &deploy_trace.drives {
-            for f in failure_records(d) {
-                match alert_of.get(&d.id.0) {
-                    // Alert at or before the failure: planned migration.
-                    Some(&age) if age <= f.fail_day as f32 => caught += 1,
-                    _ => missed += 1,
-                }
-            }
-        }
-        let failed_drives: HashSet<u32> = deploy_trace
-            .drives
-            .iter()
-            .filter(|d| d.ever_failed())
-            .map(|d| d.id.0)
-            .collect();
-        let false_alerts = alerted_drives
-            .iter()
-            .filter(|d| !failed_drives.contains(d))
-            .count();
-
-        let outcome = PolicyOutcome {
-            threshold,
-            caught,
-            missed,
-            false_alerts,
-            policy_cost: caught as f64 * COST_PLANNED
-                + missed as f64 * COST_EMERGENCY
-                + false_alerts as f64 * COST_FALSE_ALERT,
-            reactive_cost,
-        };
+    // Relative costs in ops-budget units: an unplanned failure (data
+    // rebuild, downtime) 100, a proactive or unneeded migration 12.
+    let outcomes = evaluate_policy(
+        model.as_ref(),
+        &deploy_trace,
+        &[0.5, 0.7, 0.9, 0.97],
+        &PolicyCosts::default(),
+    );
+    for outcome in outcomes {
         println!(
             "{:>9.2} | {:>8} {:>8} {:>8} | {:>12.0} {:>12.0} {:>7.1}%",
             outcome.threshold,
