@@ -7,8 +7,12 @@
 //! ```
 //!
 //! `IDS` are experiment identifiers (`tab1`, `fig6`, …) as listed in
-//! DESIGN.md; with no ids, every experiment runs. `--json DIR` additionally
-//! writes each result as JSON for EXPERIMENTS.md bookkeeping. With
+//! DESIGN.md, plus `obs` and `reentry`; an unknown id is a usage error
+//! (exit 2) raised before any fleet is generated. With no ids, every
+//! experiment runs (all but `tab8` at `--scale test`). `--json DIR`
+//! additionally writes each result as JSON for EXPERIMENTS.md
+//! bookkeeping; a directory that cannot be written is a runtime error
+//! (exit 1). With
 //! `--trace`, the fleet is loaded from an archive / JSON export / CSV
 //! directory (`--horizon` required for CSV) instead of simulated, so the
 //! paper's analyses run against real field data in this tool's schema.
@@ -56,40 +60,52 @@ fn parse_args() -> Result<Args, UsageError> {
             "--json" => args.json_dir = Some(it.value("--json")?),
             "--trace" => args.trace = Some(it.value("--trace")?),
             "--horizon" => args.horizon = Some(it.parsed("--horizon")?),
-            // Bare tokens are experiment ids; unknown flags still error.
             flag if flag.starts_with('-') => return Err(it.unknown(flag)),
-            id => args.ids.push(id.to_string()),
+            id if ALL_IDS.contains(&id) || EXTRA_IDS.contains(&id) => {
+                args.ids.push(id.to_string())
+            }
+            id => return Err(format!("unknown experiment id: {id} (see DESIGN.md)").into()),
         }
     }
     Ok(args)
 }
 
-const ALL_IDS: [&str; 22] = [
-    "fig1", "tab1", "tab2", "tab3", "tab4", "fig3", "fig4", "fig5", "tab5", "fig6", "fig7",
-    "fig8", "fig9", "fig10", "fig11", "tab6", "fig12", "fig13", "tab7", "fig14", "fig15",
-    "fig16",
-];
-const ALL_IDS_WITH_TAB8: [&str; 23] = [
+/// The paper's experiments in DESIGN.md order; a run without ids runs
+/// all of them, except `tab8` (30 cross-validations) at test scale.
+const ALL_IDS: [&str; 23] = [
     "fig1", "tab1", "tab2", "tab3", "tab4", "fig3", "fig4", "fig5", "tab5", "fig6", "fig7",
     "fig8", "fig9", "fig10", "fig11", "tab6", "fig12", "fig13", "tab7", "fig14", "fig15",
     "fig16", "tab8",
 ];
 
-fn save_json(dir: &Option<String>, id: &str, value: &impl ssd_types::json::ToJson) {
+/// Ids that run only when named: the observation audit and the
+/// re-entry analysis.
+const EXTRA_IDS: [&str; 2] = ["obs", "reentry"];
+
+fn save_json(
+    dir: &Option<String>,
+    id: &str,
+    value: &impl ssd_types::json::ToJson,
+) -> Result<(), BinError> {
     if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
         let path = format!("{dir}/{id}.json");
         let body = ssd_types::json::to_string_pretty(value);
-        std::fs::write(&path, body).expect("write json");
+        std::fs::write(&path, body).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("  [wrote {path}]");
     }
+    Ok(())
 }
 
 fn print_series(title: &str, series: &[Series]) {
     println!("{}", render_series(title, series, 16));
 }
 
-fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Option<String>) {
+fn run_experiment(
+    id: &str,
+    trace: &FleetTrace,
+    cfg: &PredictConfig,
+    json: &Option<String>,
+) -> Result<(), BinError> {
     println!("=== {id} ===");
     match id {
         "fig1" => {
@@ -102,27 +118,27 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 "fraction of drives observed 4+ years: {:.3}\n",
                 r.frac_observed_4y_plus
             );
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "tab1" => {
             let r = summarize(trace).error_incidence;
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "tab2" => {
             let r = characterize::correlation_matrix(trace);
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "tab3" => {
             let r = summarize(trace).failure_incidence;
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "tab4" => {
             let r = summarize(trace).failure_counts;
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig3" | "fig4" | "fig5" => {
             let series = lifecycle::lifecycle_series(trace);
@@ -132,12 +148,12 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 _ => 2,
             };
             print_series("Lifecycle CDF", &series[idx..=idx]);
-            save_json(json, id, &series[idx]);
+            save_json(json, id, &series[idx])?;
         }
         "tab5" => {
             let r = lifecycle::repair_reentry(trace);
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig6" => {
             let r = aging::failure_age(trace);
@@ -150,7 +166,7 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 r.frac_under_30d * 100.0,
                 r.frac_under_90d * 100.0
             );
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig7" => {
             let r = aging::write_intensity(trace);
@@ -160,7 +176,7 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 println!("{m:>6} {q1:>14.3e} {q2:>14.3e} {q3:>14.3e}");
             }
             println!();
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig8" | "fig9" => {
             let r = aging::wear_at_failure(trace);
@@ -176,7 +192,7 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                     &[r.pe_cdf_young.clone(), r.pe_cdf_old.clone()],
                 );
             }
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig10" => {
             let r = errors_analysis::cumulative_error_cdfs(trace);
@@ -190,7 +206,7 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 "symptomless failures: {:.1}%\n",
                 r.symptomless_failure_frac * 100.0
             );
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig11" => {
             let r = errors_analysis::pre_failure_errors(trace);
@@ -201,33 +217,33 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 "Figure 11 (bottom): UE-count percentiles by day before failure",
                 &r.count_percentiles,
             );
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "tab6" => {
             let r = models::model_comparison(trace, cfg, &[1, 2, 3, 7]);
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig12" => {
             let r = sweep::lookahead_sweep(trace, cfg, &[1, 2, 3, 5, 7, 10, 14, 21, 30]);
             print_series("Figure 12: RF AUC vs lookahead N", &[r.auc.clone()]);
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig13" => {
             let r = per_model::per_model_roc(trace, cfg);
             let curves: Vec<Series> = r.iter().map(|m| m.curve.clone()).collect();
             print_series("Figure 13: per-model ROC curves (RF, N=1)", &curves);
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "tab7" => {
             let r = per_model::transfer_matrix(trace, cfg);
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig14" => {
             let r = age_analysis::tpr_by_age(trace, cfg, &[0.85, 0.90, 0.95]);
             print_series("Figure 14: TPR by drive age (months)", &r.series);
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig15" => {
             let r = age_analysis::young_old_roc(trace, cfg);
@@ -242,19 +258,19 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 r.old_trained_auc.0,
                 r.old_trained_auc.1
             );
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "fig16" => {
             let (young, old) = importance::feature_importance(trace, cfg);
             println!("{}", young.table(10));
             println!("{}", old.table(10));
-            save_json(json, "fig16_young", &young);
-            save_json(json, "fig16_old", &old);
+            save_json(json, "fig16_young", &young)?;
+            save_json(json, "fig16_old", &old)?;
         }
         "tab8" => {
             let r = error_pred::error_prediction(trace, cfg);
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
         "obs" => {
             let mut checks = ssd_field_study_core::audit_trace_observations(trace);
@@ -263,18 +279,22 @@ fn run_experiment(id: &str, trace: &FleetTrace, cfg: &PredictConfig, json: &Opti
                 "{}",
                 ssd_field_study_core::observations::render_checks(&checks)
             );
-            save_json(json, id, &checks);
+            save_json(json, id, &checks)?;
         }
         "reentry" => {
             let r = ssd_field_study_core::reentry_analysis(trace);
             println!("{}", r.table());
-            save_json(json, id, &r);
+            save_json(json, id, &r)?;
         }
-        other => eprintln!("unknown experiment id: {other} (see DESIGN.md)"),
+        other => return Err(format!("unknown experiment id: {other}").into()),
     }
+    Ok(())
 }
 
 fn run(args: &Args) -> Result<(), BinError> {
+    if let Some(dir) = &args.json_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("create json dir {dir}: {e}"))?;
+    }
     let trace = if let Some(path) = &args.trace {
         // Real-data mode: the experiments need random access across the
         // whole fleet, so the trace loads resident.
@@ -324,18 +344,17 @@ fn run(args: &Args) -> Result<(), BinError> {
     predict_cfg.cv.seed = args.seed;
 
     let ids: Vec<String> = if args.ids.is_empty() {
-        // tab8 runs 30 cross-validations; include it in full runs only.
-        if args.scale == "test" {
-            ALL_IDS.iter().map(|s| s.to_string()).collect()
-        } else {
-            ALL_IDS_WITH_TAB8.iter().map(|s| s.to_string()).collect()
-        }
+        ALL_IDS
+            .iter()
+            .filter(|&&id| args.scale != "test" || id != "tab8")
+            .map(|id| id.to_string())
+            .collect()
     } else {
         args.ids.clone()
     };
     for id in &ids {
         let t = std::time::Instant::now();
-        run_experiment(id, &trace, &predict_cfg, &args.json_dir);
+        run_experiment(id, &trace, &predict_cfg, &args.json_dir)?;
         eprintln!("  [{id} took {:.1}s]", t.elapsed().as_secs_f64());
     }
     Ok(())

@@ -151,6 +151,41 @@ fn repro_rejects_unknown_scale() {
 }
 
 #[test]
+fn repro_rejects_unknown_experiment_ids_before_generating() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "test", "tab1", "fig99"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "unknown id is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("repro: unknown experiment id: fig99"),
+        "error should name the id:\n{stderr}"
+    );
+    assert!(!stderr.contains("generating fleet"), "no fleet before the check:\n{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment should run");
+}
+
+#[test]
+fn repro_reports_unwritable_json_dir_with_exit_1() {
+    let dir = scratch("repro_json_file");
+    let file = dir.join("plain");
+    std::fs::write(&file, "not a directory").expect("write plain file");
+    let json_dir = file.join("x");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "test", "--json", json_dir.to_str().unwrap(), "tab1"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1), "write failure is a runtime error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("repro: ") && !stderr.contains("panicked"),
+        "error should be a typed report, not a panic:\n{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn repro_runs_experiments_from_an_archived_trace() {
     let dir = scratch("repro_trace");
     gen_trace(&dir, "bin");
