@@ -116,4 +116,11 @@ fi
 echo "== examples compile =="
 cargo build --offline --examples
 
+echo "== perfbench builds against the workspace =="
+# perfbench/ is a standalone package with path dependencies on the
+# crates; building it here makes a renamed public name fail locally
+# rather than in the benchmark pipeline. Same target dir as perfbench/run.sh.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+  --manifest-path perfbench/Cargo.toml
+
 echo "verify: all green"
